@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crystalbench [-reps N] [-ldcscale N] [-quick] [-workers N]
-//	             [-only table1,figure8,...] [-scale sdc|mdc|ldcdiv] [-shards N]
+//	             [-only table1,figure8,...] [-scale sdc|mdc|ldcdiv]
 //	             [-traffic N] [-nobaseline] [-json] [-trace FILE]
 //	             [-memstats FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -19,8 +19,7 @@
 // -scale runs the DESIGN.md §10 scale benchmark on one fabric (sdc, mdc, or
 // ldcdiv — L-DC at the -ldcscale divisor): wall-clock to route-ready, peak
 // and live heap, allocation volume and peak RSS, for an interned pass and a
-// non-interned baseline pass (-nobaseline skips the latter). -shards
-// additionally runs it with sharded convergence at that worker count.
+// non-interned baseline pass (-nobaseline skips the latter).
 // -memstats writes the process's closing runtime.MemStats
 // (HeapAlloc/TotalAlloc/HeapSys/NumGC) as JSON for benchjson -memstats to
 // embed.
@@ -100,7 +99,6 @@ func main() {
 	traceOut := flag.String("trace", "", "run one traced S-DC mockup cycle and write a Chrome trace_event file to `file`")
 	scale := flag.String("scale", "", "run the §10 scale benchmark on one fabric: sdc, mdc, or ldcdiv (L-DC at the -ldcscale divisor)")
 	trafficFlows := flag.Uint64("traffic", 0, "run the traffic-plane benchmark with this many flows on the -scale fabric (default sdc); reports flows-settled/s")
-	shards := flag.Int("shards", 0, "worker count for sharded convergence in -scale (0 = classic single engine)")
 	noBaseline := flag.Bool("nobaseline", false, "skip the non-interned baseline pass in -scale (halves the wall-clock; for smoke tests)")
 	memStats := flag.String("memstats", "", "write closing runtime.MemStats as JSON to `file` (for benchjson -memstats)")
 	flag.Parse()
@@ -161,7 +159,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crystalbench: -scale must be sdc, mdc or ldcdiv (got %q)\n", *scale)
 			os.Exit(1)
 		}
-		rs := experiments.Scale(experiments.ScaleConfig{Spec: spec, Shards: *shards, Baseline: !*noBaseline})
+		rs := experiments.Scale(experiments.ScaleConfig{Spec: spec, Baseline: !*noBaseline})
 		emit("scale", fmt.Sprintf("§10 scale benchmark — %s wall-clock and memory (interned vs baseline)", spec.Name),
 			experiments.FormatScale(rs), rs)
 	}
@@ -176,9 +174,7 @@ func main() {
 		case "ldcdiv":
 			spec = topo.LDCScaled(*ldcScale)
 		}
-		r := experiments.Traffic(experiments.TrafficConfig{
-			Spec: spec, Flows: *trafficFlows, Shards: *shards,
-		})
+		r := experiments.Traffic(experiments.TrafficConfig{Spec: spec, Flows: *trafficFlows})
 		emit("traffic", fmt.Sprintf("traffic-plane benchmark — %d flows re-settled on %s", r.Flows, spec.Name),
 			experiments.FormatTraffic(r), r)
 	}

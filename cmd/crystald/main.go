@@ -39,6 +39,17 @@ import (
 	"crystalnet"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. Without it one slow-header client holds a connection (and its
+// goroutine) open forever. It is a constant rather than a flag: no honest
+// client needs more than a few seconds to send a header block.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the rehearsal handler in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crystald: ")
@@ -87,7 +98,7 @@ func main() {
 	log.Printf("listening on %s (pool %d, maxinflight %d, tenantinflight %d)",
 		bound, *pool, *maxInFlight, *tenantInFlight)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -18,8 +18,8 @@ import (
 // (DESIGN.md §6) establishes at fork time, extended to all of convergence.
 //
 // The table is process-global and thread-safe: independent engines run on
-// parallel goroutines (chaos campaigns, crystald, sharded convergence), and
-// sharing canonical attrs *between* engines is exactly the point. An Attrs
+// parallel goroutines (chaos campaigns, crystald), and sharing canonical
+// attrs *between* engines is exactly the point. An Attrs
 // is published to the table only after its ekey memo is filled, so readers
 // never race the lazy fingerprint fill. Canonical objects are immutable
 // forever after (enforced under -tags crystaldebug).

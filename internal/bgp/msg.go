@@ -483,6 +483,34 @@ func Decode(b []byte) (*Decoded, error) {
 	}
 }
 
+// UpdatePrefixes returns the prefixes an encoded UPDATE withdraws or
+// announces, without parsing or interning its attributes. It returns nil
+// for any other message type and for a malformed UPDATE, whose error
+// Decode reports when the message is handled.
+func UpdatePrefixes(b []byte) []netpkt.Prefix {
+	if len(b) < headerLen+4 || b[18] != MsgUpdate {
+		return nil
+	}
+	body := b[headerLen:]
+	wl := int(binary.BigEndian.Uint16(body[0:2]))
+	if len(body) < 2+wl+2 {
+		return nil
+	}
+	al := int(binary.BigEndian.Uint16(body[2+wl : 4+wl]))
+	if len(body) < 4+wl+al {
+		return nil
+	}
+	withdrawn, err := parsePrefixes(body[2 : 2+wl])
+	if err != nil {
+		return nil
+	}
+	nlri, err := parsePrefixes(body[4+wl+al:])
+	if err != nil {
+		return nil
+	}
+	return append(withdrawn, nlri...)
+}
+
 // MaxNLRIPerUpdate bounds how many prefixes fit into one UPDATE given the
 // 4096-byte message cap; routers split larger batches. A nil attrs computes
 // the bound for withdrawal-only messages.

@@ -95,6 +95,30 @@ func TestUpdateRoundTripFullAttrs(t *testing.T) {
 	}
 }
 
+func TestUpdatePrefixesMatchesDecode(t *testing.T) {
+	u := &Update{
+		Withdrawn: []netpkt.Prefix{pfx("10.9.0.0/16")},
+		NextHop:   ip("10.128.0.1"),
+		Attrs:     &Attrs{Origin: OriginIGP, Path: &ASPath{Segments: []Segment{{Type: ASSequence, ASNs: []uint32{65001}}}}},
+		NLRI:      []netpkt.Prefix{pfx("10.1.0.0/24"), pfx("10.2.3.4/32")},
+	}
+	got := UpdatePrefixes(MarshalUpdate(u))
+	want := []netpkt.Prefix{pfx("10.9.0.0/16"), pfx("10.1.0.0/24"), pfx("10.2.3.4/32")}
+	if len(got) != len(want) {
+		t.Fatalf("UpdatePrefixes = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("UpdatePrefixes = %v, want %v", got, want)
+		}
+	}
+	for _, msg := range [][]byte{MarshalKeepalive(), MarshalOpen(&Open{AS: 65001}), {0xff}} {
+		if got := UpdatePrefixes(msg); got != nil {
+			t.Fatalf("UpdatePrefixes(non-UPDATE) = %v, want nil", got)
+		}
+	}
+}
+
 func TestUpdateWithdrawOnly(t *testing.T) {
 	u := &Update{Withdrawn: []netpkt.Prefix{pfx("10.0.0.0/8")}}
 	d, err := Decode(MarshalUpdate(u))

@@ -52,11 +52,6 @@ type Snapshot struct {
 	// from it so virtual clocks, FIFO sequence numbers and RNG draws
 	// continue exactly as a fresh run's would.
 	Engine sim.EngineState
-	// Shards holds the per-domain engine states of a sharded emulation
-	// (DESIGN.md §10), in domain order; nil for the classic single-engine
-	// schedule. Forks restore one engine per entry so every domain's RNG
-	// stream and sequence counter continue exactly where they stopped.
-	Shards []sim.EngineState
 	// Origin is the frozen source emulation. It is typed as any so the
 	// leaf packages that clone themselves into a fork need not import the
 	// orchestration layer; core.Orchestrator.Fork asserts it back.

@@ -120,18 +120,10 @@ func (vm *VM) becameRunning() {
 // boot and route-processing times, which is exactly the VM-count effect
 // Figure 8 measures.
 func (vm *VM) Submit(coreSeconds float64, done func()) {
-	vm.SubmitOn(vm.provider.eng, coreSeconds, done)
-}
-
-// SubmitOn is Submit with an explicit scheduling engine: in a sharded
-// emulation (DESIGN.md §10) each device submits work via its own domain
-// engine, so the completion event lands on the queue the device drains.
-// The VM's core schedule is engine-agnostic — a VM's devices all live in
-// one domain, so coreFree is still mutated single-threaded.
-func (vm *VM) SubmitOn(eng *sim.Engine, coreSeconds float64, done func()) {
 	if coreSeconds <= 0 {
 		coreSeconds = 1e-6
 	}
+	eng := vm.provider.eng
 	now := eng.Now()
 	if len(vm.coreFree) == 0 {
 		vm.coreFree = make([]sim.Time, vm.SKU.Cores)

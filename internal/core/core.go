@@ -71,16 +71,6 @@ type Options struct {
 	// nil disables tracing at zero cost. The recorder is bound to the
 	// orchestrator's engine and rides through checkpoint/fork.
 	Rec *obs.Recorder
-	// Shards, when positive, runs convergence sharded (DESIGN.md §10): the
-	// device population is partitioned into one domain per VM, each with a
-	// private engine, and domains drain in parallel on up to Shards worker
-	// goroutines at every virtual instant. The value is the worker count
-	// only — the domain partition is fixed by the topology, so the
-	// emulation's observable output is byte-identical for every positive
-	// Shards value (1 is the serial reference schedule). 0 keeps the classic
-	// single-engine schedule, which orders events differently (per-domain
-	// RNG streams) and therefore is not comparable byte-for-byte.
-	Shards int
 	// RIBBudget, when positive, sets the process-wide Adj-RIB memory budget
 	// in bytes (rib.SetBudget): a convergence drive that ends over budget
 	// compacts every router's RIB storage.

@@ -60,11 +60,6 @@ type Emulation struct {
 	vmOf       map[string]*cloud.VM
 	vlinks     map[linkKey]*phynet.VirtualLink
 
-	// shards, when non-nil, holds the §10 sharded-execution ensemble: one
-	// domain engine per VM plus the orchestrator's master engine. All
-	// convergence drives go through it instead of em.orch.Eng.Run.
-	shards *sim.ShardSet
-
 	// Timeline (§8.1 metrics).
 	MockupStart    sim.Time
 	NetworkReadyAt sim.Time
@@ -123,20 +118,10 @@ func (o *Orchestrator) Mockup(prep *Preparation, force bool) (*Emulation, error)
 		linkDown:      map[linkKey]int{},
 		MockupStart:   o.Eng.Now(),
 	}
-	if o.opts.Shards > 0 {
-		// One domain per VM, seeded from the emulation seed: the partition
-		// (and hence every domain's RNG stream) depends only on the topology
-		// and the seed, never on the worker count.
-		em.shards = sim.NewShardSet(o.Eng, o.opts.Seed, len(prep.VMs()), o.opts.Shards)
-		em.Fabric.SetShards(em.shards)
-	}
 	for i, vm := range prep.VMs() {
 		h := em.Fabric.AddHost(vm.Name)
 		if o.opts.Clouds > 1 {
 			h.Region = fmt.Sprintf("cloud-%d", i%o.opts.Clouds)
-		}
-		if em.shards != nil {
-			h.Domain = i
 		}
 	}
 	if len(prep.hardware) > 0 {
@@ -246,7 +231,7 @@ func (em *Emulation) networkReady() {
 			opts = append(opts, firmware.WithVM(vm))
 			hostName = vm.Name
 		}
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, em.containers[name], opts...)
+		dev := firmware.New(name, img, cfg, em.orch.Eng, em.Fabric, em.containers[name], opts...)
 		em.Devices[name] = dev
 		em.Mgmt.Register(dev, n.MustDevice(name).MgmtIP, o.opts.Credential, hostName)
 	}
@@ -264,22 +249,6 @@ func (em *Emulation) networkReady() {
 		em.Speakers[name] = sp
 		sp.Start(nil)
 	}
-}
-
-// deviceEng returns the engine a device's events run on: under sharding,
-// the domain engine of the device's host VM; otherwise (and for hardware
-// devices on the fanout host, plus any VM attached after Mockup, whose
-// hosts keep the Domain -1 default) the master engine.
-func (em *Emulation) deviceEng(name string) *sim.Engine {
-	if em.shards == nil {
-		return em.orch.Eng
-	}
-	if vm := em.vmOf[name]; vm != nil {
-		if h := em.Fabric.Host(vm.Name); h != nil {
-			return em.shards.Engine(h.Domain)
-		}
-	}
-	return em.orch.Eng
 }
 
 func (em *Emulation) allNames() []string {
@@ -315,11 +284,7 @@ func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
 	if maxEvents == 0 {
 		maxEvents = 500_000_000
 	}
-	if em.shards != nil {
-		if err := em.runSharded(maxEvents); err != nil {
-			return Metrics{}, err
-		}
-	} else if em.cancel == nil {
+	if em.cancel == nil {
 		if _, err := em.orch.Eng.Run(maxEvents); err != nil {
 			return Metrics{}, err
 		}
@@ -330,26 +295,6 @@ func (em *Emulation) RunUntilConverged(maxEvents uint64) (Metrics, error) {
 	em.recordScaleStats()
 	em.settleTraffic()
 	return em.Metrics(), nil
-}
-
-// runSharded drives the shard ensemble to global quiescence. The shard
-// set polls the cancel channel once per virtual instant, which replaces
-// the classic path's event-count chunking.
-func (em *Emulation) runSharded(maxEvents uint64) error {
-	if em.cancel != nil {
-		em.shards.Check = func() error {
-			select {
-			case <-em.cancel:
-				return ErrCanceled
-			default:
-				return nil
-			}
-		}
-	} else {
-		em.shards.Check = nil
-	}
-	_, err := em.shards.Run(maxEvents)
-	return err
 }
 
 // recordScaleStats closes out a convergence drive with the §10 memory
@@ -412,13 +357,6 @@ func (em *Emulation) runCancelable(maxEvents uint64) error {
 // Idempotent; a cleared emulation tears down to a no-op.
 func (em *Emulation) Teardown() {
 	if em.cleared {
-		return
-	}
-	if em.shards != nil {
-		em.shards.CancelAll()
-		em.Clear(nil)
-		em.shards.Check = nil
-		em.shards.Run(0)
 		return
 	}
 	em.orch.Eng.CancelAll()
@@ -655,7 +593,7 @@ func (em *Emulation) AttachNewDevice(name string, img firmware.VendorImage, cfg 
 			vl := em.Fabric.Connect(c.Iface(local.Name), em.freshRemoteIface(rc, remote.Name))
 			em.vlinks[keyFor(l.A, l.B)] = vl
 		}
-		dev := firmware.New(name, img, cfg, em.deviceEng(name), em.Fabric, c, firmware.WithVM(vm))
+		dev := firmware.New(name, img, cfg, em.orch.Eng, em.Fabric, c, firmware.WithVM(vm))
 		em.Devices[name] = dev
 		em.Mgmt.Register(dev, d.MgmtIP, em.orch.opts.Credential, vm.Name)
 		vm.Submit(host.SetupCost()/10, func() { dev.Boot(onReady) })
@@ -1109,9 +1047,6 @@ func (em *Emulation) onVMReplaced(old, nv *cloud.VM) {
 	h := em.Fabric.AddHost(nv.Name)
 	if oldHost != nil {
 		h.Region = oldHost.Region
-		// The replacement inherits the failed VM's domain so its devices
-		// keep draining on the engine that owns their state.
-		h.Domain = oldHost.Domain
 	}
 	var moved []string
 	for name, v := range em.vmOf {

@@ -36,12 +36,6 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint requires a quiescent emulation: %w", err)
 	}
-	var shardStates []sim.EngineState
-	if em.shards != nil {
-		if shardStates, err = em.shards.SnapshotDomains(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint requires a quiescent emulation: %w", err)
-		}
-	}
 	// Seal the BGP attribute-fingerprint memos now, single-threaded: after
 	// this every shared *Attrs is fully immutable, so concurrent forks can
 	// alias the parent's attribute objects instead of cloning them.
@@ -50,7 +44,7 @@ func (em *Emulation) Checkpoint() (*checkpoint.Snapshot, error) {
 			r.SealAttrs()
 		}
 	}
-	return &checkpoint.Snapshot{TakenAt: st.Now, Engine: st, Shards: shardStates, Origin: em}, nil
+	return &checkpoint.Snapshot{TakenAt: st.Now, Engine: st, Origin: em}, nil
 }
 
 // Orchestrator returns the orchestrator driving this emulation. Forked
@@ -128,13 +122,6 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 		pendingFaults: make(map[*cloud.VM]int, len(parent.pendingFaults)),
 		linkDown:      make(map[linkKey]int, len(parent.linkDown)),
 	}
-	if parent.shards != nil {
-		// Restore the domain ensemble before devices fork: each forked
-		// device must be built on the engine owning its host's domain, with
-		// that domain's captured clock and RNG stream.
-		em.shards = sim.NewShardSetFrom(eng, snap.Shards, parent.shards.Workers())
-		fabric.SetShards(em.shards)
-	}
 	for vm, n := range parent.pendingFaults {
 		em.pendingFaults[vmMap[vm]] = n
 	}
@@ -159,7 +146,7 @@ func (o *Orchestrator) Fork(snap *checkpoint.Snapshot) (*Emulation, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		d := parent.Devices[name]
-		em.Devices[name] = d.Fork(em.deviceEng(name), fabric, em.containers[name], em.vmOf[name])
+		em.Devices[name] = d.Fork(eng, fabric, em.containers[name], em.vmOf[name])
 	}
 	for name, sp := range parent.Speakers {
 		em.Speakers[name] = sp.Fork(em.Devices[name])

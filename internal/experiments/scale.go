@@ -25,9 +25,6 @@ import (
 type ScaleConfig struct {
 	// Spec is the fabric to converge (topo.SDC/MDC/LDCScaled).
 	Spec topo.ClosSpec
-	// Shards, when positive, runs convergence sharded with this many
-	// workers (core.Options.Shards); 0 uses the classic single engine.
-	Shards int
 	// Seed seeds the emulation (0 means 1).
 	Seed int64
 	// Baseline additionally runs a non-interned pass for the memory
@@ -42,7 +39,6 @@ type ScaleResult struct {
 	Devices  int    `json:"devices"`
 	VMs      int    `json:"vms"`
 	Interned bool   `json:"interned"`
-	Shards   int    `json:"shards"`
 
 	// WallClock is host time for mockup+convergence; RouteReady is the
 	// virtual-time metric for cross-checking against Figure 8.
@@ -130,7 +126,7 @@ func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
 	start := time.Now()
 	n := topo.GenerateClos(cfg.Spec)
 	topo.AttachWAN(n, cfg.Spec, 2)
-	o := core.New(core.Options{Seed: cfg.Seed, Shards: cfg.Shards})
+	o := core.New(core.Options{Seed: cfg.Seed})
 	prep, err := o.Prepare(core.PrepareInput{Network: n})
 	if err != nil {
 		panic(err)
@@ -162,7 +158,6 @@ func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
 		Devices:  len(em.Devices),
 		VMs:      len(prep.VMs()),
 		Interned: interned,
-		Shards:   cfg.Shards,
 
 		WallClock:  wall,
 		RouteReady: metrics.RouteReady,
@@ -187,8 +182,8 @@ func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
 // ratio when both passes are present.
 func FormatScale(rs []ScaleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %8s %5s %9s %7s %11s %11s %11s %11s %9s %10s\n",
-		"fabric", "devices", "vms", "interned", "shards", "wall", "peak-heap", "live-heap", "alloc", "rss-peak", "hit-rate")
+	fmt.Fprintf(&b, "%-9s %8s %5s %9s %11s %11s %11s %11s %9s %10s\n",
+		"fabric", "devices", "vms", "interned", "wall", "peak-heap", "live-heap", "alloc", "rss-peak", "hit-rate")
 	mb := func(v uint64) string { return fmt.Sprintf("%.1f MB", float64(v)/(1<<20)) }
 	var interned, baseline *ScaleResult
 	for i := range rs {
@@ -197,8 +192,8 @@ func FormatScale(rs []ScaleResult) string {
 		if r.InternHits+r.InternMisses > 0 {
 			rate = fmt.Sprintf("%.1f%%", 100*float64(r.InternHits)/float64(r.InternHits+r.InternMisses))
 		}
-		fmt.Fprintf(&b, "%-9s %8d %5d %9v %7d %11s %11s %11s %11s %9s %10s\n",
-			r.Fabric, r.Devices, r.VMs, r.Interned, r.Shards,
+		fmt.Fprintf(&b, "%-9s %8d %5d %9v %11s %11s %11s %11s %9s %10s\n",
+			r.Fabric, r.Devices, r.VMs, r.Interned,
 			r.WallClock.Round(time.Millisecond),
 			mb(r.PeakHeapBytes), mb(r.LiveHeapBytes), mb(r.TotalAllocBytes),
 			mb(uint64(r.PeakRSSKB)*1024), rate)

@@ -27,9 +27,6 @@ type TrafficConfig struct {
 	Settles int
 	// Seed seeds the emulation and the matrix (0 means 1).
 	Seed int64
-	// Shards, when positive, runs convergence sharded with this many
-	// workers (core.Options.Shards).
-	Shards int
 }
 
 // TrafficResult is one measured traffic attach+settle at scale.
@@ -74,7 +71,7 @@ func Traffic(cfg TrafficConfig) TrafficResult {
 	start := time.Now()
 	n := topo.GenerateClos(cfg.Spec)
 	topo.AttachWAN(n, cfg.Spec, 2)
-	o := core.New(core.Options{Seed: cfg.Seed, Shards: cfg.Shards})
+	o := core.New(core.Options{Seed: cfg.Seed})
 	prep, err := o.Prepare(core.PrepareInput{Network: n})
 	if err != nil {
 		panic(err)

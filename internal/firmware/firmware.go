@@ -185,6 +185,9 @@ type Device struct {
 	arpPending  map[netpkt.IP][][]byte // queued frames' IP payloads
 	arpAttempts map[netpkt.IP]int
 	peerWasUp   map[int]bool // per-peer "was Established" for flap counting
+	// bgpRx holds each session's received messages until the router may
+	// handle them (see handleBGP); reset at every boot.
+	bgpRx map[int]*rxQueue
 
 	flaps int
 
@@ -276,12 +279,10 @@ func (d *Device) logf(format string, args ...any) {
 	d.Logs = append(d.Logs, fmt.Sprintf("[%s] ", d.eng.Now())+fmt.Sprintf(format, args...))
 }
 
-// submit runs CPU work on the hosting VM (or immediately without one). The
-// completion event is scheduled on the device's own engine, which in a
-// sharded emulation is its domain engine rather than the master.
+// submit runs CPU work on the hosting VM (or immediately without one).
 func (d *Device) submit(coreSeconds float64, fn func()) {
 	if d.vm != nil {
-		d.vm.SubmitOn(d.eng, coreSeconds, fn)
+		d.vm.Submit(coreSeconds, fn)
 		return
 	}
 	if fn != nil {
@@ -336,6 +337,7 @@ func (d *Device) finishBoot() {
 	d.arpPending = map[netpkt.IP][][]byte{}
 	d.arpAttempts = map[netpkt.IP]int{}
 	d.peerWasUp = map[int]bool{}
+	d.bgpRx = map[int]*rxQueue{}
 	if d.Image.SoftASIC {
 		// Program the behavioural-model ASIC: a buggy build simply lacks
 		// the ARP trap entry (§7 Case 2).

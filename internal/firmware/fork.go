@@ -43,6 +43,8 @@ func (d *Device) Fork(eng *sim.Engine, fabric *phynet.Fabric, container *phynet.
 		arp:         checkpoint.CloneMap(d.arp),
 		arpAttempts: checkpoint.CloneMap(d.arpAttempts),
 		peerWasUp:   checkpoint.CloneMap(d.peerWasUp),
+		// Forks are taken at quiescence, so every receive queue is empty.
+		bgpRx: map[int]*rxQueue{},
 
 		flaps: d.flaps,
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"crystalnet/internal/bgp"
 	"crystalnet/internal/dataplane"
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/p4"
@@ -292,17 +293,7 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		}
 		// The payload can be retained across the deferred processing without
 		// a copy: fabric frame buffers are never recycled (see Fabric.Send).
-		data := ip.Payload
-		// Control-plane processing consumes VM CPU: base cost plus
-		// per-route cost approximated from message size.
-		work := d.Image.MsgWork + d.Image.RouteWork*float64(len(data))/5
-		epoch := d.epoch
-		d.submit(work, func() {
-			if d.epoch != epoch || d.state != DeviceRunning {
-				return
-			}
-			peer.HandleMessage(data)
-		})
+		d.handleBGP(peer, ip.Payload)
 	case netpkt.ProtoOSPF:
 		if d.osp == nil {
 			return
@@ -330,6 +321,128 @@ func (d *Device) handleLocal(iface string, ip *netpkt.IPv4Packet) {
 		}
 		d.sendFromSelf(out)
 	}
+}
+
+// rxQueue is one BGP session's receive window: every message from the
+// oldest one not handled yet onward, in arrival order.
+type rxQueue struct {
+	msgs []rxMsg // the window is msgs[head:]
+	head int
+	base uint64 // arrival sequence number of msgs[head]
+	held int    // messages whose work is done but which wait for an earlier one
+}
+
+type rxMsg struct {
+	data  []byte
+	ready bool // its CPU work has completed
+	done  bool // handed to the session
+}
+
+// maxIdleRx is the window capacity an idle session keeps for reuse; a
+// full-table burst's larger array is released once it drains.
+const maxIdleRx = 4
+
+// handleBGP charges a received BGP message's processing to the VM CPU and
+// hands it to the session once that work completes. Each message's work
+// runs on whichever VM core frees first, so a message can finish before
+// one that arrived earlier and queued behind a busier core. Messages that
+// touch different prefixes may be handled in that completion order, but
+// two UPDATEs for the same prefix never are: a withdraw overtaken by the
+// later re-announce of its prefix would leave the prefix withdrawn while
+// the sender believes it is advertised. A message that finishes ahead of
+// an earlier one for the same prefix waits in the session's queue and is
+// handled right after it.
+func (d *Device) handleBGP(peer *bgp.Peer, data []byte) {
+	q := d.bgpRx[peer.Index]
+	if q == nil {
+		q = &rxQueue{}
+		d.bgpRx[peer.Index] = q
+	}
+	seq := q.base + uint64(len(q.msgs)-q.head)
+	q.msgs = append(q.msgs, rxMsg{data: data})
+	// Control-plane processing consumes VM CPU: base cost plus
+	// per-route cost approximated from message size.
+	work := d.Image.MsgWork + d.Image.RouteWork*float64(len(data))/5
+	epoch := d.epoch
+	d.submit(work, func() {
+		if d.epoch != epoch || d.state != DeviceRunning {
+			return
+		}
+		if seq == q.base && q.held == 0 {
+			// In order, nothing held back: the common case.
+			m := &q.msgs[q.head]
+			m.done = true
+			peer.HandleMessage(m.data)
+		} else {
+			q.msgs[q.head+int(seq-q.base)].ready = true
+			q.held++
+			d.drainBGP(peer, q, epoch)
+		}
+		if d.epoch != epoch || d.state != DeviceRunning {
+			// A handled message crashed the firmware (CrashAfterFlaps):
+			// the rest of the queue goes with the rest of the boot's state.
+			return
+		}
+		q.pop()
+	})
+}
+
+// pop retires handled messages from the front of the window.
+func (q *rxQueue) pop() {
+	for q.head < len(q.msgs) && q.msgs[q.head].done {
+		q.msgs[q.head] = rxMsg{}
+		q.head++
+		q.base++
+	}
+	if q.head == len(q.msgs) {
+		q.head = 0
+		q.msgs = q.msgs[:0]
+		if cap(q.msgs) > maxIdleRx {
+			q.msgs = nil
+		}
+	}
+}
+
+// drainBGP hands the session every finished message that no earlier
+// pending message shares a prefix with, in arrival order.
+func (d *Device) drainBGP(peer *bgp.Peer, q *rxQueue, epoch int) {
+	// Only messages ahead of the last finished one can hold anything back.
+	last := -1
+	for i := q.head; i < len(q.msgs); i++ {
+		if m := &q.msgs[i]; m.ready && !m.done {
+			last = i
+		}
+	}
+	var blocked map[netpkt.Prefix]bool
+	for i := q.head; i <= last && d.epoch == epoch && d.state == DeviceRunning; i++ {
+		m := &q.msgs[i]
+		if m.done {
+			continue
+		}
+		// Prefixes are parsed only here, off the in-order fast path.
+		if m.ready && (blocked == nil || !conflicts(bgp.UpdatePrefixes(m.data), blocked)) {
+			m.done = true
+			q.held--
+			peer.HandleMessage(m.data)
+			continue
+		}
+		for _, p := range bgp.UpdatePrefixes(m.data) {
+			if blocked == nil {
+				blocked = map[netpkt.Prefix]bool{}
+			}
+			blocked[p] = true
+		}
+	}
+}
+
+// conflicts reports whether any of pfx is in blocked.
+func conflicts(pfx []netpkt.Prefix, blocked map[netpkt.Prefix]bool) bool {
+	for _, p := range pfx {
+		if blocked[p] {
+			return true
+		}
+	}
+	return false
 }
 
 // sendFromSelf routes a locally originated packet.

@@ -49,91 +49,3 @@ func TestWorkersNormalization(t *testing.T) {
 		t.Fatal("non-positive worker count must normalize to >= 1")
 	}
 }
-
-func TestPoolEachJobExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		p := NewPool(workers)
-		const n = 500
-		var counts [n]atomic.Int32
-		p.Do(n, func(i int) { counts[i].Add(1) })
-		p.Close()
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-// TestPoolReusedAcrossPhases drives the pool the way the lockstep shard
-// loop does: many small phases back to back on the same workers, with the
-// caller reading per-phase results between dispatches (exercising the
-// join-edge visibility guarantee).
-func TestPoolReusedAcrossPhases(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	out := make([]int, 8)
-	for phase := 0; phase < 2000; phase++ {
-		p.Do(len(out), func(i int) { out[i] = phase*100 + i })
-		for i, v := range out {
-			if v != phase*100+i {
-				t.Fatalf("phase %d: out[%d] = %d, want %d", phase, i, v, phase*100+i)
-			}
-		}
-	}
-}
-
-func TestPoolEdgeCases(t *testing.T) {
-	p := NewPool(4)
-	ran := false
-	p.Do(0, func(int) { ran = true })
-	if ran {
-		t.Fatal("fn ran for n=0")
-	}
-	// n=1 runs inline even on a parallel pool.
-	hit := 0
-	p.Do(1, func(i int) { hit = i + 1 })
-	if hit != 1 {
-		t.Fatal("single job did not run")
-	}
-	// Closed pools degrade to inline execution rather than wedging.
-	p.Close()
-	var sum atomic.Int64
-	p.Do(10, func(i int) { sum.Add(int64(i)) })
-	if sum.Load() != 45 {
-		t.Fatalf("post-Close Do summed %d, want 45", sum.Load())
-	}
-	p.Close() // double Close must be a no-op
-}
-
-func TestPoolSerialRunsInline(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	order := make([]int, 0, 5)
-	p.Do(5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial pool ran out of order: %v", order)
-		}
-	}
-}
-
-// The benchmark pair that motivated Pool: a phase-per-instant caller pays
-// goroutine spawn/join on every Run call but only a dispatch/join on Do.
-func BenchmarkRunPerPhase(b *testing.B) {
-	var sink atomic.Int64
-	b.ReportAllocs()
-	for b.Loop() {
-		Run(4, 4, func(i int) { sink.Add(int64(i)) })
-	}
-}
-
-func BenchmarkPoolPerPhase(b *testing.B) {
-	p := NewPool(4)
-	defer p.Close()
-	var sink atomic.Int64
-	b.ReportAllocs()
-	for b.Loop() {
-		p.Do(4, func(i int) { sink.Add(int64(i)) })
-	}
-}

@@ -35,7 +35,6 @@ func (f *Fabric) Fork(eng *sim.Engine) (*Fabric, map[*VIface]*VIface, map[*Conta
 			UnderlayIP: h.UnderlayIP,
 			Remote:     h.Remote,
 			Region:     h.Region,
-			Domain:     h.Domain,
 			fabric:     c,
 			containers: make(map[string]*Container, len(h.containers)),
 			vethPairs:  h.vethPairs,

@@ -56,10 +56,6 @@ type Host struct {
 	// Region names the cloud the VM lives in; emulations may span several
 	// clouds (§3.1), with frames between regions crossing the Internet.
 	Region string
-	// Domain is the shard the host's devices execute in (DESIGN.md §10);
-	// -1 (the default) keeps the host on the master engine. Only meaningful
-	// when the fabric is attached to a sim.ShardSet.
-	Domain int
 	fabric *Fabric
 
 	containers map[string]*Container
@@ -168,89 +164,13 @@ type Fabric struct {
 	RemoteLatency     time.Duration
 	CrossCloudLatency time.Duration
 
-	// Wire statistics. In a sharded run these exported fields are only
-	// written during serial phases; the parallel drain accumulates into
-	// per-domain slots folded back at every barrier, so readers in serial
-	// context (and after Run) always see consistent totals.
+	// Wire statistics.
 	FramesDelivered uint64
 	BytesDelivered  uint64
 	FramesDropped   uint64
 	EncapFrames     uint64 // frames that crossed the underlay (VXLAN)
 
-	// shards, when non-nil, routes deliveries between domain engines and
-	// switches counter writes to the per-domain slots below.
-	shards *sim.ShardSet
-	// slots[d+1] accumulates wire stats for domain d during parallel
-	// drains (index 0 is the master domain, which never runs in parallel
-	// but keeps the indexing uniform). Padded to a cache line apart.
-	slots []fabStats
-
 	links []*VirtualLink
-}
-
-// fabStats is one domain's wire-stat accumulator, padded to 64 bytes so
-// adjacent domains do not false-share a cache line.
-type fabStats struct {
-	framesDelivered uint64
-	bytesDelivered  uint64
-	framesDropped   uint64
-	encapFrames     uint64
-	_               [4]uint64
-}
-
-// SetShards attaches the fabric to a shard set: deliveries route between
-// domain engines and wire stats accumulate per domain during parallel
-// phases, folded into the exported counters at every barrier.
-func (f *Fabric) SetShards(s *sim.ShardSet) {
-	f.shards = s
-	f.slots = make([]fabStats, s.Domains()+1)
-	s.AddFold(f.foldStats)
-}
-
-func (f *Fabric) foldStats() {
-	for i := range f.slots {
-		sl := &f.slots[i]
-		f.FramesDelivered += sl.framesDelivered
-		f.BytesDelivered += sl.bytesDelivered
-		f.FramesDropped += sl.framesDropped
-		f.EncapFrames += sl.encapFrames
-		*sl = fabStats{}
-	}
-}
-
-// stat returns the counter sink for code executing in domain d: the
-// domain's slot during a parallel drain, the exported fields otherwise.
-func (f *Fabric) stat(d int) *fabStats {
-	if f.shards != nil && f.shards.InParallel() {
-		return &f.slots[d+1]
-	}
-	return nil
-}
-
-func (f *Fabric) countDrop(d int) {
-	if sl := f.stat(d); sl != nil {
-		sl.framesDropped++
-		return
-	}
-	f.FramesDropped++
-}
-
-func (f *Fabric) countEncap(d int) {
-	if sl := f.stat(d); sl != nil {
-		sl.encapFrames++
-		return
-	}
-	f.EncapFrames++
-}
-
-func (f *Fabric) countDelivered(d int, bytes uint64) {
-	if sl := f.stat(d); sl != nil {
-		sl.framesDelivered++
-		sl.bytesDelivered += bytes
-		return
-	}
-	f.FramesDelivered++
-	f.BytesDelivered += bytes
 }
 
 // NewFabric creates an empty overlay on the engine.
@@ -278,7 +198,7 @@ func (f *Fabric) AddHost(name string) *Host {
 		panic(fmt.Sprintf("phynet: duplicate host %q", name))
 	}
 	h := &Host{
-		Name: name, UnderlayIP: netpkt.IP(f.nextIP), Domain: -1,
+		Name: name, UnderlayIP: netpkt.IP(f.nextIP),
 		fabric: f, containers: map[string]*Container{},
 	}
 	f.nextIP++
@@ -385,17 +305,14 @@ func (f *Fabric) SetLinkState(l *VirtualLink, up bool) { l.up = up }
 // receiver may in turn retain that payload — frame buffers are never
 // recycled).
 func (f *Fabric) Send(from *VIface, frame []byte) {
-	// srcDomain is the domain executing this call — Send is always invoked
-	// by the firmware attached to the sending interface's host.
-	srcDomain := from.Container.Host.Domain
 	l := from.link
 	if l == nil || !l.up {
-		f.countDrop(srcDomain)
+		f.FramesDropped++
 		return
 	}
 	to := l.Other(from)
 	if to == nil {
-		f.countDrop(srcDomain)
+		f.FramesDropped++
 		return
 	}
 	latency := f.IntraVMLatency
@@ -416,35 +333,29 @@ func (f *Fabric) Send(from *VIface, frame []byte) {
 			uint16(32768+l.VNI%16384), frame)
 		vni, inner, err := netpkt.DecapVXLAN(enc)
 		if err != nil || vni != l.VNI {
-			f.countDrop(srcDomain)
+			f.FramesDropped++
 			return
 		}
-		f.countEncap(srcDomain)
+		f.EncapFrames++
 		// inner aliases enc, a buffer private to this call, so it can be
 		// captured by the delivery closure without another copy.
 		payload = inner
 	}
 	data := payload
-	// The delivery closure executes on the receiving host's engine, so its
-	// counter writes belong to the destination domain.
-	dstDomain := to.Container.Host.Domain
 	deliver := func() {
 		if !l.up {
-			f.countDrop(dstDomain)
+			f.FramesDropped++
 			return
 		}
 		h := to.Container.handler
 		if h == nil {
 			// Firmware down: device drops the frame.
-			f.countDrop(dstDomain)
+			f.FramesDropped++
 			return
 		}
-		f.countDelivered(dstDomain, uint64(len(data)))
+		f.FramesDelivered++
+		f.BytesDelivered += uint64(len(data))
 		h(to.Name, data)
-	}
-	if f.shards != nil {
-		f.shards.ScheduleAfter(srcDomain, dstDomain, latency, deliver)
-		return
 	}
 	f.eng.After(latency, deliver)
 }

@@ -67,8 +67,8 @@ func OverBudget() bool {
 // by construction.
 //
 // The zero value is an empty table ready for use. Dense is not safe for
-// concurrent mutation; in the sharded convergence engine each table is owned
-// by exactly one device, which is owned by exactly one shard.
+// concurrent mutation; each table is owned by exactly one device, whose
+// events all run on its emulation's single engine.
 type Dense[T any] struct {
 	vals    []T
 	present []uint64

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -130,59 +129,29 @@ func TestTrafficReroutesOnLinkFlap(t *testing.T) {
 	}
 }
 
-// TestTrafficIdenticalAcrossWorkers extends the §10 scale-determinism bar
-// to the traffic plane: the whole report — traffic section included — must
-// be byte-identical across sharded worker counts 1/2/4/GOMAXPROCS.
+// TestTrafficIdenticalAcrossWorkers extends the serial-equals-parallel
+// contract to the traffic plane: a reuse chaos campaign under load, run at
+// campaign worker counts 1/2/4/GOMAXPROCS, must produce byte-identical
+// reports, every run's traffic section included.
 func TestTrafficIdenticalAcrossWorkers(t *testing.T) {
-	var want *Report
+	base := trafficSpec(Step{Op: OpWaitConverge})
+	var want []byte
 	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		rep, err := Run(trafficSpec(rehearsalSteps()...), Options{Shards: w})
+		rep, err := Chaos(base, CampaignConfig{N: 4, Seed: 21, FaultsPerRun: 2, Workers: w, Reuse: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !rep.Passed {
-			t.Fatalf("workers=%d run failed:\n%s", w, rep.JSON())
-		}
-		if rep.Traffic == nil {
-			t.Fatalf("workers=%d: no traffic section", w)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !bytes.Equal(rep.JSON(), want.JSON()) {
-			t.Fatalf("workers=%d report differs from workers=1 reference\ngot:\n%s\nwant:\n%s",
-				w, rep.JSON(), want.JSON())
-		}
-	}
-}
-
-// TestTrafficIdenticalAcrossShardCounts checks the settle results are a
-// function of the converged state alone: unsharded and sharded runs of the
-// same spec produce byte-identical traffic sections.
-func TestTrafficIdenticalAcrossShardCounts(t *testing.T) {
-	var want []byte
-	for _, shards := range []int{0, 2, 4} {
-		rep, err := Run(trafficSpec(
-			Step{Op: OpSetLink, A: "tor-p0-0:et0", B: "leaf-p0-0:et2", Up: boolp(false)},
-			Step{Op: OpWaitConverge},
-		), Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !rep.Passed {
-			t.Fatalf("shards=%d run failed:\n%s", shards, rep.JSON())
-		}
-		b, err := json.Marshal(rep.Traffic)
-		if err != nil {
-			t.Fatal(err)
+		for i, r := range rep.Runs {
+			if r.Traffic == nil {
+				t.Fatalf("workers=%d run %d: no traffic section:\n%s", w, i, r.JSON())
+			}
 		}
 		if want == nil {
-			want = b
+			want = rep.JSON()
 			continue
 		}
-		if !bytes.Equal(b, want) {
-			t.Fatalf("shards=%d traffic section differs\ngot:\n%s\nwant:\n%s", shards, b, want)
+		if got := rep.JSON(); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d campaign differs from workers=1 reference\ngot:\n%s\nwant:\n%s", w, got, want)
 		}
 	}
 }

@@ -18,8 +18,8 @@
 // Determinism contract (the same one chaos campaigns rely on): a settle
 // draws no engine randomness — every split is a pure hash of (seed,
 // aggregate identity, hop-group content) — and walks devices in sorted
-// order, so reports are byte-identical across worker counts, shard counts
-// and fork-vs-fresh, and attaching traffic never perturbs convergence
+// order, so reports are byte-identical across campaign worker counts and
+// fork-vs-fresh, and attaching traffic never perturbs convergence
 // event order. All matrix state is plain values, so Fork is a slice copy
 // and forked rehearsals carry their load with them.
 //

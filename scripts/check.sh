@@ -42,11 +42,7 @@ go test -race ./internal/scenario/ -run 'TestSmoke|TestChaosSerialParallelIdenti
 echo "== fork-determinism smoke under -race (fresh vs forked, byte-compare)"
 go test -race ./internal/scenario/ -run 'TestForkedRunMatchesFreshRun|TestChaosReuse'
 
-echo "== sharded-convergence determinism under -race (serial vs sharded, byte-compare)"
-go test -race ./internal/scenario/ -run 'TestSharded' -timeout 10m
-go test -race ./internal/sim/ -run 'TestShardSet' -timeout 10m
-
-echo "== traffic-plane determinism under -race (workers/shards/fork, byte-compare)"
+echo "== traffic-plane determinism under -race (workers/fork, byte-compare)"
 go test -race ./internal/scenario/ -run 'TestTraffic' -timeout 10m
 
 echo "== trace-determinism smoke (same-seed traces byte-identical, incl. across a fork)"
@@ -107,12 +103,17 @@ grep -q "safe-boundary solve" "$tmp/solve1.out"
 echo "== docs gate (every package carries a doc comment linking the design docs)"
 go run ./cmd/doccheck
 
-# M-DC smoke: converge the 580-device fabric once, sharded, interned-only
+# perfbench is its own module, so the root build never compiles it: vet and
+# test it here so a library API change cannot break the benchmark unnoticed.
+echo "== perfbench module (vet + test)"
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
+# M-DC smoke: converge the 580-device fabric once, interned-only
 # (no baseline pass — that doubles the wall-clock and is a bench concern,
 # not a correctness gate). Skipped under SHORT=1 for quick iteration.
 if [ "${SHORT:-}" != "1" ]; then
-    echo "== M-DC smoke (crystalbench -scale mdc, sharded, bounded)"
-    timeout 600 go run ./cmd/crystalbench -scale mdc -shards 4 -nobaseline >/dev/null
+    echo "== M-DC smoke (crystalbench -scale mdc, bounded)"
+    timeout 600 go run ./cmd/crystalbench -scale mdc -nobaseline >/dev/null
 
     echo "== traffic smoke (S-DC campaign under a 1M-flow matrix with assert-flow-slo)"
     timeout 600 "$tmp/crystalctl" run-scenario scenarios/traffic_slo.json >/dev/null

@@ -41,9 +41,8 @@ type document struct {
 	// rides the same document as the latency numbers.
 	MemStats json.RawMessage `json:"memstats,omitempty"`
 	// Scale embeds crystalbench -scale -json output: the DESIGN.md §10
-	// whole-fabric convergence results (wall-clock, peak/live heap, peak
-	// RSS, intern hit rate) for the interned pass and its non-interned
-	// baseline.
+	// whole-fabric convergence result (wall-clock, peak/live heap, peak
+	// RSS, intern hit rate).
 	Scale json.RawMessage `json:"scale,omitempty"`
 	// Traffic embeds crystalbench -traffic -json output: the traffic-plane
 	// benchmark (docs/TRAFFIC.md) — flow matrix size, per-settle wall-clock

@@ -6,7 +6,7 @@
 //
 //	crystalbench [-reps N] [-ldcscale N] [-quick] [-workers N]
 //	             [-only table1,figure8,...] [-scale sdc|mdc|ldcdiv]
-//	             [-traffic N] [-nobaseline] [-json] [-trace FILE]
+//	             [-traffic N] [-json] [-trace FILE]
 //	             [-memstats FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -quick runs a reduced sweep (fewer repetitions, no M-DC/L-DC in the
@@ -18,8 +18,7 @@
 //
 // -scale runs the DESIGN.md §10 scale benchmark on one fabric (sdc, mdc, or
 // ldcdiv — L-DC at the -ldcscale divisor): wall-clock to route-ready, peak
-// and live heap, allocation volume and peak RSS, for an interned pass and a
-// non-interned baseline pass (-nobaseline skips the latter).
+// and live heap, allocation volume, peak RSS and the intern hit rate.
 // -memstats writes the process's closing runtime.MemStats
 // (HeapAlloc/TotalAlloc/HeapSys/NumGC) as JSON for benchjson -memstats to
 // embed.
@@ -99,7 +98,6 @@ func main() {
 	traceOut := flag.String("trace", "", "run one traced S-DC mockup cycle and write a Chrome trace_event file to `file`")
 	scale := flag.String("scale", "", "run the §10 scale benchmark on one fabric: sdc, mdc, or ldcdiv (L-DC at the -ldcscale divisor)")
 	trafficFlows := flag.Uint64("traffic", 0, "run the traffic-plane benchmark with this many flows on the -scale fabric (default sdc); reports flows-settled/s")
-	noBaseline := flag.Bool("nobaseline", false, "skip the non-interned baseline pass in -scale (halves the wall-clock; for smoke tests)")
 	memStats := flag.String("memstats", "", "write closing runtime.MemStats as JSON to `file` (for benchjson -memstats)")
 	flag.Parse()
 
@@ -159,9 +157,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "crystalbench: -scale must be sdc, mdc or ldcdiv (got %q)\n", *scale)
 			os.Exit(1)
 		}
-		rs := experiments.Scale(experiments.ScaleConfig{Spec: spec, Baseline: !*noBaseline})
-		emit("scale", fmt.Sprintf("§10 scale benchmark — %s wall-clock and memory (interned vs baseline)", spec.Name),
-			experiments.FormatScale(rs), rs)
+		r := experiments.Scale(experiments.ScaleConfig{Spec: spec})
+		emit("scale", fmt.Sprintf("§10 scale benchmark — %s wall-clock and memory", spec.Name),
+			experiments.FormatScale(r), r)
 	}
 	if *trafficFlows > 0 {
 		// The traffic benchmark reuses -scale's fabric selection; without

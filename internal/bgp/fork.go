@@ -10,10 +10,9 @@ import (
 // turns them fully read-only — after which any number of concurrent forks
 // can alias them without cloning and without racing on the memo fill.
 //
-// With the global intern table (Intern) active this is a near-no-op: every
-// attrs that entered a RIB came through Intern, which filled the memo
-// before publication, so the walk only touches stragglers created while
-// interning was disabled.
+// Every attrs that entered a RIB came through Intern, which filled the memo
+// before publication, so the walk is a near-no-op; it stays as the guard
+// that makes the no-race property independent of that invariant.
 func (r *Router) SealAttrs() {
 	seal := func(a *Attrs) {
 		if a != nil && a.ekey == "" {
@@ -45,9 +44,6 @@ func (r *Router) SealAttrs() {
 			seal(a)
 			return true
 		})
-		for _, a := range p.advertisedM {
-			seal(a)
-		}
 	}
 }
 
@@ -57,8 +53,7 @@ func (r *Router) SealAttrs() {
 // SealAttrs ran once before the first fork.
 //
 // Attribute objects (*Attrs) and AS paths are immutable once shared, so the
-// fork aliases them instead of cloning: the decide path compares attribute
-// pointers (prevBestAttrs != newBestAttrs), and sharing preserves the exact
+// fork aliases them instead of cloning: sharing preserves the exact
 // aliasing topology between a peer's Adj-RIB-In, Loc-RIB candidates and the
 // entries' lastBest caches that a clone would have to reconstruct.
 //
@@ -112,22 +107,9 @@ func (r *Router) Fork(clock Clock, hooks Hooks) *Router {
 		// flushTimer is a pending closure and must be nil: forks are only
 		// taken at quiescence, when every MRAI flush has already fired.
 		// The dense Adj-RIB tables clone their backing arrays; the *Attrs
-		// values are sealed immutables and alias across the fork. A session
-		// running the baseline map layout clones its maps instead.
-		np.mapRIBs = p.mapRIBs
-		if p.mapRIBs {
-			np.adjInM = make(map[netpkt.Prefix]*Attrs, len(p.adjInM))
-			for pfx, a := range p.adjInM {
-				np.adjInM[pfx] = a
-			}
-			np.advertisedM = make(map[netpkt.Prefix]*Attrs, len(p.advertisedM))
-			for pfx, a := range p.advertisedM {
-				np.advertisedM[pfx] = a
-			}
-		} else {
-			np.adjIn = *p.adjIn.Clone()
-			np.advertised = *p.advertised.Clone()
-		}
+		// values are sealed immutables and alias across the fork.
+		np.adjIn = *p.adjIn.Clone()
+		np.advertised = *p.advertised.Clone()
 		c.peers[i] = np
 	}
 

@@ -45,19 +45,21 @@ type internKey struct {
 }
 
 var (
-	internHits     atomic.Uint64
-	internMisses   atomic.Uint64
-	internSize     atomic.Int64
-	internDisabled atomic.Bool
+	internHits   atomic.Uint64
+	internMisses atomic.Uint64
+	internSize   atomic.Int64
 )
 
-// SetInterning toggles the global intern table (on by default). Disabling
-// it makes Intern the identity function — the non-interned baseline the
-// M-DC memory experiment measures against. Toggling clears the table and
-// resets the hit/miss counters so measurements do not bleed across modes.
+// SetInterning resets the global intern table: it empties the table and
+// zeroes the hit/miss counters, so a measurement starts from a cold table.
+// Interning is always on; SetInterning(false) panics. Canonical objects
+// already handed out stay valid, and routing output does not depend on the
+// table's state (see sameIntern).
 func SetInterning(on bool) {
+	if !on {
+		panic("bgp: interning is always on; SetInterning(true) only resets the table")
+	}
 	internTab.Lock()
-	internDisabled.Store(!on)
 	internTab.m = make(map[internKey]*Attrs)
 	internSize.Store(0)
 	internHits.Store(0)
@@ -73,10 +75,16 @@ func InternStats() (hits, misses uint64, size int) {
 	return internHits.Load(), internMisses.Load(), int(internSize.Load())
 }
 
-// interningEnabled reports whether the global intern table is active —
-// memoization layers whose keys are canonical pointers (the router export
-// cache) must bypass themselves while it is off.
-func interningEnabled() bool { return !internDisabled.Load() }
+// sameIntern reports whether a and b have the same intern identity (the
+// table key): equal attribute values that may sit at different canonical
+// pointers because the table was reset or cleared between their Intern
+// calls. Both must be nil or canonical.
+func sameIntern(a, b *Attrs) bool {
+	if a == b {
+		return true
+	}
+	return a != nil && b != nil && a.AggID == b.AggID && attrsKey(a) == attrsKey(b)
+}
 
 // Intern returns the canonical *Attrs equal to a, registering a as the
 // canonical object if none exists. The returned value must be treated as
@@ -84,7 +92,7 @@ func interningEnabled() bool { return !internDisabled.Load() }
 // must not be mutated after the call either (it may have become canonical).
 // A nil a is returned unchanged.
 func Intern(a *Attrs) *Attrs {
-	if a == nil || internDisabled.Load() {
+	if a == nil {
 		return a
 	}
 	// Fill the fingerprint memo before publication: after this the object

@@ -47,21 +47,22 @@ func TestInternDistinguishesAggID(t *testing.T) {
 	}
 }
 
-func TestInternDisableIsIdentity(t *testing.T) {
-	SetInterning(false)
-	defer SetInterning(true)
-
-	a := &Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 7}
-	if Intern(a) != a {
-		t.Fatalf("disabled interning must be the identity function")
+func TestSetInterningResets(t *testing.T) {
+	Intern(&Attrs{Origin: OriginIGP, Path: NewPath(65001), NextHop: 7})
+	Intern(&Attrs{Origin: OriginIGP, Path: NewPath(65001), NextHop: 7})
+	if hits, _, _ := InternStats(); hits == 0 {
+		t.Fatal("second Intern of equal attrs did not hit")
 	}
-	b := &Attrs{Origin: OriginIGP, Path: EmptyPath, NextHop: 7}
-	if Intern(b) == a {
-		t.Fatalf("disabled interning must not unify")
-	}
+	SetInterning(true)
 	if hits, misses, size := InternStats(); hits != 0 || misses != 0 || size != 0 {
-		t.Fatalf("disabled interning must not account: hits=%d misses=%d size=%d", hits, misses, size)
+		t.Fatalf("SetInterning(true) must empty the table: hits=%d misses=%d size=%d", hits, misses, size)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetInterning(false) must panic: interning is always on")
+		}
+	}()
+	SetInterning(false)
 }
 
 func TestDecodeInternsUpdateAttrs(t *testing.T) {

@@ -69,29 +69,9 @@ type Peer struct {
 	// §10 memory restructuring that makes M-DC RIBs fit. The accepted attrs
 	// themselves live only in the Loc-RIB candidate list (keyed by this
 	// peer), so the per-peer table stores zero bytes per route. advertised
-	// holds the canonical attrs last announced per entry id; the flush
-	// comparison falls back to attrsKey equality so the router stays live
-	// even when interning is disabled (pointer inequality alone would
-	// re-advertise identical routes forever).
+	// holds the canonical attrs last announced per entry id.
 	adjIn      rib.Dense[struct{}]
 	advertised rib.Dense[*Attrs]
-	// mapRIBs switches the session to the pre-§10 per-route map layout.
-	// It latches !interningEnabled() at session start: the non-interned
-	// baseline the scale benchmark measures against is the seed's memory
-	// model — per-route hash maps AND unshared attrs — so disabling
-	// interning disables the compact layout with it. Behaviour is
-	// identical in both layouts (flush output is sorted either way); only
-	// the bytes per route differ.
-	mapRIBs     bool
-	adjInM      map[netpkt.Prefix]*Attrs
-	advertisedM map[netpkt.Prefix]*Attrs
-	// exportCacheM is the pre-§10 export-template memo: per peer, keyed on
-	// the best candidate's attrs pointer. Baseline sessions keep it so the
-	// ablation pays the seed's full memory bill — without interning every
-	// received route carries a distinct attrs pointer, so the memo grows
-	// with the table. Interned sessions use the router-level exportCache
-	// instead and leave this nil.
-	exportCacheM map[*Attrs]exportVal
 	// The dirty set is a bitset addressed by ribEntry.id plus the insertion-
 	// order list of prefixes to visit at the next flush; marking a prefix
 	// dirty on every peer is on the decide hot path, and the bit test is far
@@ -111,95 +91,16 @@ type Peer struct {
 func (p *Peer) State() SessionState { return p.state }
 
 // AdjInLen returns the number of routes accepted from this peer.
-func (p *Peer) AdjInLen() int {
-	if p.mapRIBs {
-		return len(p.adjInM)
-	}
-	return p.adjIn.Len()
-}
+func (p *Peer) AdjInLen() int { return p.adjIn.Len() }
 
 // AdvertisedLen returns the number of routes currently announced to this
 // peer.
-func (p *Peer) AdvertisedLen() int {
-	if p.mapRIBs {
-		return len(p.advertisedM)
-	}
-	return p.advertised.Len()
-}
+func (p *Peer) AdvertisedLen() int { return p.advertised.Len() }
 
-// The adj*/adv* helpers below are the layout seam between the compact dense
-// tables and the baseline per-route maps (see mapRIBs). Both Adj-RIBs are
-// addressed by (prefix, Loc-RIB entry id); the dense layout uses the id,
-// the map layout the prefix.
-
-func (p *Peer) adjSet(pfx netpkt.Prefix, id int, a *Attrs) {
-	if p.mapRIBs {
-		if p.adjInM == nil {
-			p.adjInM = map[netpkt.Prefix]*Attrs{}
-		}
-		p.adjInM[pfx] = a
-		return
-	}
-	p.adjIn.Set(id, struct{}{})
-}
-
-func (p *Peer) adjDelete(pfx netpkt.Prefix, id int) bool {
-	if p.mapRIBs {
-		if _, ok := p.adjInM[pfx]; ok {
-			delete(p.adjInM, pfx)
-			return true
-		}
-		return false
-	}
-	return p.adjIn.Delete(id)
-}
-
-func (p *Peer) advGet(pfx netpkt.Prefix, id int) (*Attrs, bool) {
-	if p.mapRIBs {
-		a, ok := p.advertisedM[pfx]
-		return a, ok
-	}
-	return p.advertised.Get(id)
-}
-
-func (p *Peer) advSet(pfx netpkt.Prefix, id int, a *Attrs) {
-	if p.mapRIBs {
-		if p.advertisedM == nil {
-			p.advertisedM = map[netpkt.Prefix]*Attrs{}
-		}
-		p.advertisedM[pfx] = a
-		return
-	}
-	p.advertised.Set(id, a)
-}
-
-func (p *Peer) advDelete(pfx netpkt.Prefix, id int) bool {
-	if p.mapRIBs {
-		if _, ok := p.advertisedM[pfx]; ok {
-			delete(p.advertisedM, pfx)
-			return true
-		}
-		return false
-	}
-	return p.advertised.Delete(id)
-}
-
-// clearRIBs empties both Adj-RIBs in whichever layout is active.
+// clearRIBs empties both Adj-RIBs.
 func (p *Peer) clearRIBs() {
-	if p.mapRIBs {
-		p.adjInM = nil
-		p.advertisedM = nil
-		p.exportCacheM = nil
-		return
-	}
 	p.adjIn.Clear()
 	p.advertised.Clear()
-}
-
-// exportVal is one memoized export-template outcome (see Router.exportCache).
-type exportVal struct {
-	attrs *Attrs
-	ok    bool
 }
 
 // connGen hands out process-unique connection generations. Each engine is
@@ -215,9 +116,6 @@ func (p *Peer) Start() {
 		return
 	}
 	p.localGen = connGen.Add(1)
-	// The baseline layout latches here: a session started while interning
-	// is off runs the seed's per-route map Adj-RIBs for its lifetime.
-	p.mapRIBs = !interningEnabled()
 	p.clearRIBs()
 	p.clearDirty()
 	if p.Config.Passive {
@@ -275,18 +173,10 @@ func (p *Peer) reset(reason string) {
 		p.flushTimer = nil
 	}
 	p.staleScratch = p.staleScratch[:0]
-	if p.mapRIBs {
-		for pfx := range p.adjInM {
-			p.staleScratch = append(p.staleScratch, pfx)
-		}
-		// Map iteration order is random; sort so teardown stays deterministic.
-		sortPrefixes(p.staleScratch)
-	} else {
-		p.adjIn.Range(func(id int, _ struct{}) bool {
-			p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
-			return true
-		})
-	}
+	p.adjIn.Range(func(id int, _ struct{}) bool {
+		p.staleScratch = append(p.staleScratch, p.router.prefixByID[id])
+		return true
+	})
 	p.clearRIBs()
 	p.clearDirty()
 	p.setState(StateIdle)
@@ -393,7 +283,7 @@ func (p *Peer) handleUpdate(u *Update) {
 	for _, pfx := range u.Withdrawn {
 		p.WithdrawsIn++
 		p.router.mWithdrawsIn.Inc()
-		if e := p.router.locRIB[pfx]; e != nil && p.adjDelete(pfx, e.id) {
+		if e := p.router.locRIB[pfx]; e != nil && p.adjIn.Delete(e.id) {
 			p.router.removeCandidate(pfx, p)
 		}
 	}
@@ -416,13 +306,13 @@ func (p *Peer) handleUpdate(u *Update) {
 		}
 		if !permit {
 			// Treat as unfeasible: remove any previous acceptance.
-			if e := p.router.locRIB[pfx]; e != nil && p.adjDelete(pfx, e.id) {
+			if e := p.router.locRIB[pfx]; e != nil && p.adjIn.Delete(e.id) {
 				p.router.removeCandidate(pfx, p)
 			}
 			continue
 		}
 		e := p.router.upsertCandidate(pfx, p, attrs)
-		p.adjSet(pfx, e.id, attrs)
+		p.adjIn.Set(e.id, struct{}{})
 	}
 }
 
@@ -494,18 +384,20 @@ func (p *Peer) flush() {
 		}
 		attrs, ok := p.router.exportRoute(p, pfx)
 		if !ok {
-			if p.advDelete(pfx, e.id) {
+			if p.advertised.Delete(e.id) {
 				withdrawals = append(withdrawals, pfx)
 			}
 			continue
 		}
 		// Interning makes the no-change test a pointer compare in the common
-		// case; the attrsKey fallback keeps the MRAI loop convergent when
-		// interning is off (equal bytes, different pointers).
-		if prev, adv := p.advGet(pfx, e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
+		// case. The attrsKey fallback covers an intern-table reset or
+		// wholesale clear between the two exports: equal bytes then sit at
+		// different canonical pointers, and re-sending them would make the
+		// wire depend on the table's state.
+		if prev, adv := p.advertised.Get(e.id); adv && (prev == attrs || attrsKey(prev) == attrsKey(attrs)) {
 			continue // no visible change
 		}
-		p.advSet(pfx, e.id, attrs)
+		p.advertised.Set(e.id, attrs)
 		key := attrsKey(attrs)
 		g := groups[key]
 		if g == nil {

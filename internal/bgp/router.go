@@ -150,9 +150,8 @@ type Router struct {
 	// router: with next-hop carried per-Update instead of per-Attrs, the
 	// exported attribute set no longer varies by session, and the per-peer
 	// differences (split horizon, loop avoidance, AdvertiseLocalOnly) are
-	// allocation-free predicates checked before the cache. Valid only while
-	// interning is on — the keys are canonical pointers. Bounded; cleared
-	// wholesale when full.
+	// allocation-free predicates checked before the cache. The keys are
+	// canonical pointers. Bounded; cleared wholesale when full.
 	exportCache map[exportKey]exportVal
 	// nhScratch is the reusable buffer nextHops fills on every decide; the
 	// hops are copied out only when they actually change. hopSets interns
@@ -484,13 +483,7 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 			}
 			e.installed = nil
 		} else {
-			if interningEnabled() {
-				e.installed = r.hopSets.Canonical(hops)
-			} else {
-				// Baseline layout for the §10 ablation: a private copy
-				// per entry, as the pre-interning router stored it.
-				e.installed = append(make([]rib.NextHop, 0, len(hops)), hops...)
-			}
+			e.installed = r.hopSets.Canonical(hops)
 			if r.hooks.InstallRoute != nil {
 				if err := r.hooks.InstallRoute(p, e.installed); err != nil {
 					r.hooks.Logf("bgp %s: FIB install %s failed: %v", r.cfg.Name, p, err)
@@ -499,10 +492,13 @@ func (r *Router) decide(p netpkt.Prefix, e *ribEntry) {
 		}
 	}
 
-	// Re-advertise if the exported view changed.
+	// Re-advertise if the exported view changed. Comparing intern identity
+	// rather than pointers keeps an intern-table reset or clear, which
+	// gives a re-learned route a new canonical pointer, from scheduling
+	// no-op MRAI flushes.
 	newBestAttrs := r.primaryAttrs(e)
 	e.lastBest = newBestAttrs
-	if prevBestAttrs != newBestAttrs {
+	if !sameIntern(prevBestAttrs, newBestAttrs) {
 		for _, peer := range r.peers {
 			peer.markDirty(p, e)
 		}
@@ -662,6 +658,12 @@ type exportKey struct {
 	local bool
 }
 
+// exportVal is one memoized export-template outcome (see Router.exportCache).
+type exportVal struct {
+	attrs *Attrs
+	ok    bool
+}
+
 // exportRoute computes what to announce to peer for prefix p. ok=false
 // means "withdraw / do not advertise".
 //
@@ -669,9 +671,8 @@ type exportKey struct {
 // allocation-free and run on every call; the expensive part — policy
 // evaluation, the attribute copy, the AS prepend, interning — is a pure
 // function of (best attrs, policy, locally-originated) and is memoized at
-// router level when the policy is prefix-independent. The memo requires
-// interning: its keys are canonical pointers, and with interning off a
-// best-path pointer no longer identifies an attribute value across updates.
+// router level when the policy is prefix-independent, keyed on the
+// canonical best attrs pointer.
 func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 	e := r.locRIB[p]
 	if e == nil || len(e.best) == 0 || e.suppressed {
@@ -692,36 +693,18 @@ func (r *Router) exportRoute(peer *Peer, p netpkt.Prefix) (*Attrs, bool) {
 		return nil, false
 	}
 	pol := peer.Config.ExportPolicy
-	cacheable := interningEnabled() && pol.prefixIndependent()
-	var key exportKey
-	if cacheable {
-		key = exportKey{attrs: best.attrs, pol: pol, local: best.peerIdx < 0}
-		if v, hit := r.exportCache[key]; hit {
-			return v.attrs, v.ok
-		}
-	} else if peer.mapRIBs && pol.prefixIndependent() {
-		// Baseline sessions keep the pre-§10 memo: per peer, keyed on the
-		// best candidate's attrs pointer. The pointer identifies the value
-		// (attrs are never mutated once in a RIB) and, for a prefix-
-		// independent policy, fully determines the template — a locally
-		// originated attrs pointer is never shared with a learned route, so
-		// the MED-strip distinction rides the pointer too.
-		if v, hit := peer.exportCacheM[best.attrs]; hit {
-			return v.attrs, v.ok
-		}
+	if !pol.prefixIndependent() {
+		return r.exportTemplate(p, best, pol)
+	}
+	key := exportKey{attrs: best.attrs, pol: pol, local: best.peerIdx < 0}
+	if v, hit := r.exportCache[key]; hit {
+		return v.attrs, v.ok
 	}
 	a, ok := r.exportTemplate(p, best, pol)
-	if cacheable {
-		if r.exportCache == nil || len(r.exportCache) >= maxExportCache {
-			r.exportCache = make(map[exportKey]exportVal, 256)
-		}
-		r.exportCache[key] = exportVal{attrs: a, ok: ok}
-	} else if peer.mapRIBs && pol.prefixIndependent() {
-		if peer.exportCacheM == nil || len(peer.exportCacheM) >= maxExportCache {
-			peer.exportCacheM = make(map[*Attrs]exportVal, 256)
-		}
-		peer.exportCacheM[best.attrs] = exportVal{attrs: a, ok: ok}
+	if r.exportCache == nil || len(r.exportCache) >= maxExportCache {
+		r.exportCache = make(map[exportKey]exportVal, 256)
 	}
+	r.exportCache[key] = exportVal{attrs: a, ok: ok}
 	return a, ok
 }
 
@@ -813,19 +796,6 @@ func computeAttrsKey(a *Attrs) string {
 		}
 	}
 	return string(b)
-}
-
-// Compact releases memoization state and trims the dense Adj-RIB tables to
-// their live extent. Called post-convergence when the process-wide RIB
-// accounting is over budget (rib.OverBudget); caches refill on demand, so
-// compaction trades a warm-up against peak RSS and never changes output.
-func (r *Router) Compact() {
-	r.prependCache = map[*ASPath]*ASPath{}
-	r.exportCache = nil
-	for _, p := range r.peers {
-		p.adjIn.Compact()
-		p.advertised.Compact()
-	}
 }
 
 // Stats summarizes router state for PullStates.

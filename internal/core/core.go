@@ -21,7 +21,6 @@ import (
 	"crystalnet/internal/netpkt"
 	"crystalnet/internal/obs"
 	"crystalnet/internal/phynet"
-	"crystalnet/internal/rib"
 	"crystalnet/internal/sim"
 	"crystalnet/internal/speaker"
 	"crystalnet/internal/topo"
@@ -71,10 +70,6 @@ type Options struct {
 	// nil disables tracing at zero cost. The recorder is bound to the
 	// orchestrator's engine and rides through checkpoint/fork.
 	Rec *obs.Recorder
-	// RIBBudget, when positive, sets the process-wide Adj-RIB memory budget
-	// in bytes (rib.SetBudget): a convergence drive that ends over budget
-	// compacts every router's RIB storage.
-	RIBBudget int64
 }
 
 func (o *Options) defaults() {
@@ -100,9 +95,6 @@ type Orchestrator struct {
 // New creates an orchestrator with a fresh engine and cloud.
 func New(opts Options) *Orchestrator {
 	opts.defaults()
-	if opts.RIBBudget > 0 {
-		rib.SetBudget(opts.RIBBudget)
-	}
 	eng := sim.NewEngine(opts.Seed)
 	eng.SetRecorder(opts.Rec)
 	c := cloud.NewProvider(eng)

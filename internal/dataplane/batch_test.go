@@ -37,18 +37,16 @@ func TestSpreadFlowsConserves(t *testing.T) {
 	}
 }
 
-func TestSpreadFlowsStableUnderHopSharingAblation(t *testing.T) {
+func TestSpreadFlowsKeyedOnHopContent(t *testing.T) {
 	// The spread is keyed on the group's *content* hash (rib.HashHops), so
-	// interned and private hop-group layouts must split identically — the
-	// §10 ablation cannot move traffic.
-	nhs := ecmpHops()
-	want := SpreadFlows(1234, nhs, 10)
-	rib.SetHopSharing(false)
-	defer rib.SetHopSharing(true)
-	// A fresh, non-interned copy of the same hops.
-	private := append([]rib.NextHop(nil), nhs...)
+	// a canonical hop group and a private copy of it must split
+	// identically — which slice holds the group cannot move traffic.
+	var sets rib.HopSetTable
+	canonical := sets.Canonical(ecmpHops())
+	want := SpreadFlows(1234, canonical, 10)
+	private := append([]rib.NextHop(nil), canonical...)
 	if got := SpreadFlows(1234, private, 10); !reflect.DeepEqual(got, want) {
-		t.Fatalf("spread moved under hop-sharing ablation: %v != %v", got, want)
+		t.Fatalf("spread moved between canonical and private hop groups: %v != %v", got, want)
 	}
 }
 

@@ -27,18 +27,13 @@ type ScaleConfig struct {
 	Spec topo.ClosSpec
 	// Seed seeds the emulation (0 means 1).
 	Seed int64
-	// Baseline additionally runs a non-interned pass for the memory
-	// comparison. It runs AFTER the interned pass: peak RSS is monotonic
-	// per process, so the cheaper configuration must be measured first.
-	Baseline bool
 }
 
 // ScaleResult is one measured convergence at scale.
 type ScaleResult struct {
-	Fabric   string `json:"fabric"`
-	Devices  int    `json:"devices"`
-	VMs      int    `json:"vms"`
-	Interned bool   `json:"interned"`
+	Fabric  string `json:"fabric"`
+	Devices int    `json:"devices"`
+	VMs     int    `json:"vms"`
 
 	// WallClock is host time for mockup+convergence; RouteReady is the
 	// virtual-time metric for cross-checking against Figure 8.
@@ -46,11 +41,11 @@ type ScaleResult struct {
 	RouteReady time.Duration `json:"route_ready_ns"`
 	Events     uint64        `json:"events"`
 
-	// PeakHeapBytes is the maximum HeapAlloc sampled while the pass ran —
+	// PeakHeapBytes is the maximum HeapAlloc sampled while the run converged —
 	// the paper-facing "can one machine hold this fabric" number, covering
 	// both retained state and allocation churn between GCs. LiveHeapBytes
 	// is HeapAlloc after a forced GC at convergence — the retained routing
-	// state alone. TotalAllocBytes is the pass's allocation volume
+	// state alone. TotalAllocBytes is the run's allocation volume
 	// (TotalAlloc delta). PeakRSSKB is ru_maxrss, monotonic over the
 	// process lifetime.
 	PeakHeapBytes   uint64 `json:"peak_heap_bytes"`
@@ -64,42 +59,25 @@ type ScaleResult struct {
 	RIBDenseBytes int64  `json:"rib_dense_bytes"`
 }
 
-// Scale converges cfg.Spec once interned (and, with cfg.Baseline, once
-// non-interned) and reports the host-cost measurements. Interning is
-// restored to its default (on) before returning.
-func Scale(cfg ScaleConfig) []ScaleResult {
+// Scale converges cfg.Spec once, starting from an empty intern table, and
+// reports the host-cost measurements.
+func Scale(cfg ScaleConfig) ScaleResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	defer bgp.SetInterning(true)
-	defer rib.SetHopSharing(true)
-	out := []ScaleResult{runScaleOnce(cfg, true)}
-	if cfg.Baseline {
-		out = append(out, runScaleOnce(cfg, false))
-	}
-	return out
-}
-
-func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
-	// The ablation toggles the whole §10 memory model, not just attrs:
-	// hop-group sharing in the FIBs rides the same switch, and sessions
-	// latch the per-route map layout from it (bgp.Peer.mapRIBs), so the
-	// baseline pass reproduces the seed's bytes-per-route end to end.
-	bgp.SetInterning(interned)
-	rib.SetHopSharing(interned)
-	// Run both passes at GOGC=50 so peak heap tracks retained state rather
-	// than GC headroom: at the default GOGC=100 the collector lets the heap
-	// double past live before collecting, and that headroom — pure
-	// allocation churn — would dominate the peak of whichever pass churns
-	// more relative to what it retains. Applied identically to both passes,
-	// so the comparison stays apples-to-apples.
+	bgp.SetInterning(true)
+	// Run at GOGC=50 so peak heap tracks retained state rather than GC
+	// headroom: at the default GOGC=100 the collector lets the heap double
+	// past live before collecting, and that headroom — pure allocation
+	// churn — would dominate the peak. The EXPERIMENTS.md scale figures were
+	// all taken at this setting.
 	defer debug.SetGCPercent(debug.SetGCPercent(50))
 	ribBefore := rib.Stats().DenseBytes
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	// Sample HeapAlloc on a wall-clock ticker while the pass runs. The
+	// Sample HeapAlloc on a wall-clock ticker while the run converges. The
 	// sampler only reads runtime stats — it never touches engine state, so
 	// the emulation's determinism is unaffected.
 	stopSampler := make(chan struct{})
@@ -154,10 +132,9 @@ func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
 	hits, misses, size := bgp.InternStats()
 
 	res := ScaleResult{
-		Fabric:   cfg.Spec.Name,
-		Devices:  len(em.Devices),
-		VMs:      len(prep.VMs()),
-		Interned: interned,
+		Fabric:  cfg.Spec.Name,
+		Devices: len(em.Devices),
+		VMs:     len(prep.VMs()),
 
 		WallClock:  wall,
 		RouteReady: metrics.RouteReady,
@@ -178,36 +155,20 @@ func runScaleOnce(cfg ScaleConfig, interned bool) ScaleResult {
 	return res
 }
 
-// FormatScale renders the scale results plus the interned/baseline live-heap
-// ratio when both passes are present.
-func FormatScale(rs []ScaleResult) string {
+// FormatScale renders one scale result as a table row under a header.
+func FormatScale(r ScaleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %8s %5s %9s %11s %11s %11s %11s %9s %10s\n",
-		"fabric", "devices", "vms", "interned", "wall", "peak-heap", "live-heap", "alloc", "rss-peak", "hit-rate")
+	fmt.Fprintf(&b, "%-9s %8s %5s %11s %11s %11s %11s %9s %10s\n",
+		"fabric", "devices", "vms", "wall", "peak-heap", "live-heap", "alloc", "rss-peak", "hit-rate")
 	mb := func(v uint64) string { return fmt.Sprintf("%.1f MB", float64(v)/(1<<20)) }
-	var interned, baseline *ScaleResult
-	for i := range rs {
-		r := &rs[i]
-		rate := "-"
-		if r.InternHits+r.InternMisses > 0 {
-			rate = fmt.Sprintf("%.1f%%", 100*float64(r.InternHits)/float64(r.InternHits+r.InternMisses))
-		}
-		fmt.Fprintf(&b, "%-9s %8d %5d %9v %11s %11s %11s %11s %9s %10s\n",
-			r.Fabric, r.Devices, r.VMs, r.Interned,
-			r.WallClock.Round(time.Millisecond),
-			mb(r.PeakHeapBytes), mb(r.LiveHeapBytes), mb(r.TotalAllocBytes),
-			mb(uint64(r.PeakRSSKB)*1024), rate)
-		if r.Interned {
-			interned = r
-		} else {
-			baseline = r
-		}
+	rate := "-"
+	if r.InternHits+r.InternMisses > 0 {
+		rate = fmt.Sprintf("%.1f%%", 100*float64(r.InternHits)/float64(r.InternHits+r.InternMisses))
 	}
-	if interned != nil && baseline != nil {
-		fmt.Fprintf(&b, "\npeak heap: baseline/interned = %.2fx (live at convergence: %.2fx, alloc volume: %.2fx)\n",
-			float64(baseline.PeakHeapBytes)/float64(interned.PeakHeapBytes),
-			float64(baseline.LiveHeapBytes)/float64(interned.LiveHeapBytes),
-			float64(baseline.TotalAllocBytes)/float64(interned.TotalAllocBytes))
-	}
+	fmt.Fprintf(&b, "%-9s %8d %5d %11s %11s %11s %11s %9s %10s\n",
+		r.Fabric, r.Devices, r.VMs,
+		r.WallClock.Round(time.Millisecond),
+		mb(r.PeakHeapBytes), mb(r.LiveHeapBytes), mb(r.TotalAllocBytes),
+		mb(uint64(r.PeakRSSKB)*1024), rate)
 	return b.String()
 }

@@ -49,47 +49,9 @@ func TestDenseCloneClearCompact(t *testing.T) {
 	if v, _ := d.Get(5); v != 25 {
 		t.Fatal("clone mutated the original")
 	}
-	for i := 10; i < 100; i++ {
-		d.Delete(i)
-	}
-	before := Stats()
-	d.Compact()
-	after := Stats()
-	if after.DenseBytes >= before.DenseBytes {
-		t.Fatalf("compact did not shrink: %d -> %d", before.DenseBytes, after.DenseBytes)
-	}
-	if after.Compactions != before.Compactions+1 {
-		t.Fatalf("compactions %d -> %d", before.Compactions, after.Compactions)
-	}
-	if d.Len() != 10 {
-		t.Fatalf("len after compact=%d want 10", d.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if v, ok := d.Get(i); !ok || v != i*i {
-			t.Fatalf("get(%d) after compact", i)
-		}
-	}
-	d.Set(200, 1) // regrow after compact
-	if v, ok := d.Get(200); !ok || v != 1 {
-		t.Fatal("set after compact")
-	}
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatal("clear")
 	}
 	c.Range(func(int, int) bool { t.Fatal("range over cleared table"); return false })
-}
-
-func TestDenseBudget(t *testing.T) {
-	defer SetBudget(0)
-	SetBudget(1) // anything allocated is over budget
-	var d Dense[uint64]
-	d.Set(0, 7)
-	if !OverBudget() {
-		t.Fatal("expected over budget")
-	}
-	SetBudget(0)
-	if OverBudget() {
-		t.Fatal("budget 0 must mean unlimited")
-	}
 }

@@ -71,7 +71,7 @@ func TestTrieBuiltLazily(t *testing.T) {
 	}
 }
 
-func TestHopGroupSharingAndAblationLayout(t *testing.T) {
+func TestHopGroupSharing(t *testing.T) {
 	f := NewFIB()
 	f.InstallHops(pfx("10.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", ProtoBGP, "1.1.1.1", "2.2.2.2").NextHops)
 	f.InstallHops(pfx("20.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", ProtoBGP, "1.1.1.1", "2.2.2.2").NextHops)
@@ -79,28 +79,6 @@ func TestHopGroupSharingAndAblationLayout(t *testing.T) {
 	b, _ := f.Get(pfx("20.0.0.0/8"))
 	if &a.NextHops[0] != &b.NextHops[0] {
 		t.Fatal("equal hop groups must alias one canonical slice")
-	}
-
-	// The §10 ablation layout: private hop copies and an eager trie, as the
-	// pre-interning FIB stored them.
-	SetHopSharing(false)
-	defer SetHopSharing(true)
-	g := NewFIB()
-	if g.t == nil {
-		t.Fatal("ablation FIB must build its trie eagerly")
-	}
-	g.InstallHops(pfx("10.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", ProtoBGP, "1.1.1.1", "2.2.2.2").NextHops)
-	g.InstallHops(pfx("20.0.0.0/8"), ProtoBGP, entry("0.0.0.0/0", ProtoBGP, "1.1.1.1", "2.2.2.2").NextHops)
-	ga, _ := g.Get(pfx("10.0.0.0/8"))
-	gb, _ := g.Get(pfx("20.0.0.0/8"))
-	if &ga.NextHops[0] == &gb.NextHops[0] {
-		t.Fatal("ablation layout must keep a private hop copy per entry")
-	}
-	if g.t.Len() != 2 {
-		t.Fatalf("ablation trie holds %d entries, want 2", g.t.Len())
-	}
-	if e, ok := g.Lookup(netpkt.MustParseIP("20.1.2.3")); !ok || e.Prefix != pfx("20.0.0.0/8") {
-		t.Fatalf("ablation LPM returned %v", e)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"crystalnet/internal/bgp"
 	"crystalnet/internal/parallel"
 )
 
@@ -54,6 +55,30 @@ func TestForkedRunMatchesFreshRun(t *testing.T) {
 	if !bytes.Equal(fresh.JSON(), forked.JSON()) {
 		t.Fatalf("forked report differs from fresh run\nfresh:\n%s\nforked:\n%s",
 			fresh.JSON(), forked.JSON())
+	}
+}
+
+func TestForkIgnoresInternTableReset(t *testing.T) {
+	// The intern table is host bookkeeping: emptying it between two forks
+	// of one converged fabric hands re-learned routes new canonical
+	// pointers, and the reports must not notice. The table's own wholesale
+	// clear at maxInternTable has the same effect mid-run.
+	conv, err := Converge(tinySpec(rehearsalSteps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := conv.Run(tinySpec(rehearsalSteps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgp.SetInterning(true)
+	second, err := conv.Run(tinySpec(rehearsalSteps()...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.JSON(), second.JSON()) {
+		t.Fatalf("report changed after an intern-table reset\nbefore:\n%s\nafter:\n%s",
+			first.JSON(), second.JSON())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"crystalnet/internal/boundary"
@@ -41,9 +40,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: read body: %w", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req PlanRequest

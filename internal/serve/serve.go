@@ -239,13 +239,37 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// readSpec parses a request body as a scenario spec.
-func readSpec(r *http.Request) (*scenario.Spec, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		return nil, fmt.Errorf("serve: read body: %w", err)
+// readBody reads a request body of at most maxSpecBytes. A longer body is
+// answered with 413 naming the limit, never truncated; any other read
+// error is a 400. ok is false once an error response has been written.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("serve: request body exceeds the %d-byte limit", maxSpecBytes))
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: read body: %w", err))
+		return nil, false
 	}
-	return scenario.Parse(body)
+	return body, true
+}
+
+// readSpec parses a request body as a scenario spec. ok is false once an
+// error response has been written.
+func readSpec(w http.ResponseWriter, r *http.Request) (sp *scenario.Spec, ok bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	sp, err := scenario.Parse(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return sp, true
 }
 
 // handleRehearse runs one scenario and returns the batch-identical report.
@@ -259,9 +283,8 @@ func (s *Server) handleRehearse(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	sp, err := readSpec(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	sp, ok := readSpec(w, r)
+	if !ok {
 		return
 	}
 	sess, code, err := s.begin("rehearse", r.Header.Get(TenantHeader), sp.Name)
@@ -332,9 +355,8 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	sp, err := readSpec(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	sp, ok := readSpec(w, r)
+	if !ok {
 		return
 	}
 	var cfg scenario.CampaignConfig
@@ -428,13 +450,13 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST only"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: read body: %w", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var sp *scenario.Spec
 	if len(body) > 0 {
+		var err error
 		if sp, err = scenario.Parse(body); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

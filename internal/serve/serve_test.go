@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,36 @@ func TestRehearseBadRequests(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET rehearse = %d, want 405", r2.StatusCode)
+	}
+}
+
+func TestOversizeBodyRejected(t *testing.T) {
+	// A body over maxSpecBytes is refused with 413 naming the limit on
+	// every endpoint that reads one, never silently truncated; a body of
+	// exactly maxSpecBytes is read whole and fails only as bad JSON.
+	_, ts := newTestServer(t, Config{})
+	post := func(route string, n int) (int, ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader(bytes.Repeat([]byte{' '}, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: error body: %v", route, err)
+		}
+		return resp.StatusCode, e
+	}
+	limit := strconv.Itoa(maxSpecBytes)
+	for _, route := range []string{"/v1/rehearse", "/v1/chaos", "/v1/plan", "/v1/pool/invalidate"} {
+		code, e := post(route, maxSpecBytes+1)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, limit) {
+			t.Fatalf("%s with %d bytes = %d %q, want 413 naming %s", route, maxSpecBytes+1, code, e.Error, limit)
+		}
+		if code, e := post(route, maxSpecBytes); code != http.StatusBadRequest {
+			t.Fatalf("%s with %d bytes = %d %q, want 400", route, maxSpecBytes, code, e.Error)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 #!/bin/sh
 # bench.sh — one-shot benchmark capture: runs the crystalbench experiment
-# suite (-quick -json), the §10 M-DC scale benchmark (interned vs baseline,
+# suite (-quick -json), the §10 M-DC scale benchmark (one convergence,
 # with closing runtime.MemStats), the traffic-plane benchmark (1M flows on
 # S-DC, flows-settled/s), plus the Go micro-benchmarks for the hot
 # packages, and merges everything into BENCH_<date>.json (gitignored) via
 # cmd/benchjson.
 #
-#   scripts/bench.sh                 # quick suite + M-DC scale (~10 min)
+#   scripts/bench.sh                 # quick suite + M-DC scale (~2 min)
 #   BENCH_NOSCALE=1 scripts/bench.sh # skip the M-DC scale run (~15 s)
 #   BENCH_FULL=1 scripts/bench.sh    # full Figure 8 sweep (minutes)
 set -eu
@@ -27,7 +27,7 @@ fi
 
 scale_args=""
 if [ "${BENCH_NOSCALE:-}" != "1" ]; then
-    echo "== crystalbench -scale mdc (wall-clock + peak heap/RSS, interned vs baseline)" >&2
+    echo "== crystalbench -scale mdc (wall-clock + peak heap/RSS)" >&2
     "$tmp/crystalbench" -scale mdc -json -memstats "$tmp/memstats.json" >"$tmp/scale.json"
     scale_args="-scale $tmp/scale.json -memstats $tmp/memstats.json"
 fi

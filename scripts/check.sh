@@ -33,6 +33,9 @@ go test -race ./internal/parallel/ ./internal/sim/ ./internal/experiments/ ./int
 echo "== sealed-attrs immutability assertions (-tags crystaldebug)"
 go test -tags crystaldebug ./internal/bgp/
 
+echo "== fuzz: UpdatePrefixes agrees with Decode on every accepted UPDATE (10 s)"
+go test ./internal/bgp -run '^$' -fuzz '^FuzzUpdatePrefixes$' -fuzztime 10s
+
 echo "== concurrent-fork smoke under -race"
 go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks'
 
@@ -108,12 +111,11 @@ go run ./cmd/doccheck
 echo "== perfbench module (vet + test)"
 (cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
-# M-DC smoke: converge the 580-device fabric once, interned-only
-# (no baseline pass — that doubles the wall-clock and is a bench concern,
-# not a correctness gate). Skipped under SHORT=1 for quick iteration.
+# M-DC smoke: converge the 580-device fabric once. Skipped under SHORT=1
+# for quick iteration.
 if [ "${SHORT:-}" != "1" ]; then
     echo "== M-DC smoke (crystalbench -scale mdc, bounded)"
-    timeout 600 go run ./cmd/crystalbench -scale mdc -nobaseline >/dev/null
+    timeout 600 go run ./cmd/crystalbench -scale mdc >/dev/null
 
     echo "== traffic smoke (S-DC campaign under a 1M-flow matrix with assert-flow-slo)"
     timeout 600 "$tmp/crystalctl" run-scenario scenarios/traffic_slo.json >/dev/null

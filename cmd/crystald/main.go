@@ -45,9 +45,16 @@ import (
 // client needs more than a few seconds to send a header block.
 const readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds how long a client may take to send a whole request,
+// headers and body, so a client trickling a spec body cannot hold a
+// connection either. Bodies are capped at a few MB, which an honest
+// client sends in well under this. net/http clears the deadline once the
+// body has been read, so it never cuts a long rehearsal short.
+const readTimeout = time.Minute
+
 // newHTTPServer wraps the rehearsal handler in the daemon's HTTP server.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 func main() {

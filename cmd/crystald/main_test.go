@@ -14,6 +14,10 @@ func TestHTTPServerBoundsHeaderRead(t *testing.T) {
 	if srv.ReadHeaderTimeout != readHeaderTimeout {
 		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
 	}
+	if srv.ReadTimeout != readTimeout || readTimeout < readHeaderTimeout {
+		t.Fatalf("ReadTimeout = %v, want %v (no shorter than the header bound %v)",
+			srv.ReadTimeout, readTimeout, readHeaderTimeout)
+	}
 	if srv.Handler == nil {
 		t.Fatal("server has no handler")
 	}

@@ -297,7 +297,8 @@ type (
 	// RehearsalServer serves /v1/rehearse, /v1/chaos, /v1/status,
 	// /v1/pool/invalidate, /healthz and /metrics.
 	RehearsalServer = serve.Server
-	// ServeConfig tunes pool capacity, concurrency quotas and metrics.
+	// ServeConfig tunes pool capacity, concurrency quotas and the
+	// convergence event cap.
 	ServeConfig = serve.Config
 	// WarmPool is the checkpoint pool behind a RehearsalServer.
 	WarmPool = serve.Pool
@@ -310,24 +311,19 @@ func NewRehearsalServer(cfg ServeConfig) *RehearsalServer { return serve.NewServ
 // (internal/obs, docs/OBSERVABILITY.md). Pass a Recorder via Options.Rec or
 // ScenarioOptions.Rec to trace a run; nil keeps tracing disabled at zero
 // cost. Traces are stamped with simulation virtual time, so identically-
-// seeded runs export byte-identical files.
+// seeded runs export byte-identical files. The same registry type backs a
+// RehearsalServer's /metrics; its metrics are safe for concurrent use,
+// its spans and events are not.
 type (
 	// Recorder collects sim-time-stamped spans, events and metrics.
 	Recorder = obs.Recorder
 	// TracePart names one recorder in a multi-run Chrome trace export
 	// (one trace-viewer process per part).
 	TracePart = obs.Part
-	// LiveMetrics is the wall-clock, concurrency-safe metrics registry the
-	// rehearsal service exposes at /metrics (sibling of the deterministic
-	// sim-time Recorder).
-	LiveMetrics = obs.Live
 )
 
 // NewRecorder returns an empty trace recorder.
 func NewRecorder() *Recorder { return obs.New() }
-
-// NewLiveMetrics returns an empty wall-clock metrics registry.
-func NewLiveMetrics() *LiveMetrics { return obs.NewLive() }
 
 // WriteChromeTrace renders one or more recorders as a single Chrome
 // trace_event file — open it in Perfetto (ui.perfetto.dev) or

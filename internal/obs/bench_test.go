@@ -43,7 +43,7 @@ func BenchmarkNilGaugeSet(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveCounterInc(b *testing.B) {
+func BenchmarkCounterInc(b *testing.B) {
 	r := New()
 	c := r.Counter("bgp.msgs_out", "dev0")
 	b.ReportAllocs()
@@ -52,7 +52,7 @@ func BenchmarkLiveCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveGaugeSet(b *testing.B) {
+func BenchmarkGaugeSet(b *testing.B) {
 	r := New()
 	g := r.Gauge("rib.dense_bytes", "dev0")
 	b.ReportAllocs()
@@ -61,7 +61,7 @@ func BenchmarkLiveGaugeSet(b *testing.B) {
 	}
 }
 
-func BenchmarkLiveHistogramObserve(b *testing.B) {
+func BenchmarkHistogramObserve(b *testing.B) {
 	r := New()
 	h := r.Histogram("recovery", "")
 	b.ReportAllocs()

@@ -9,10 +9,12 @@ import (
 	"time"
 )
 
-// Exporters. All three outputs are deterministic: spans and events are
+// Exporters. All four outputs are deterministic: spans and events are
 // emitted in their (deterministic) record order, metrics are sorted by
 // (name, label), and maps never reach the encoder unsorted — so two
-// same-seed runs produce byte-identical files.
+// same-seed runs produce byte-identical files. WriteJSON, WriteChrome and
+// Summary export a trace; WriteProm renders the same metric registry for
+// crystald's /metrics.
 
 type counterJSON struct {
 	Name  string `json:"name"`
@@ -50,7 +52,9 @@ type traceJSON struct {
 }
 
 func (r *Recorder) sortedCounters() []*Counter {
+	r.mu.Lock()
 	cs := append([]*Counter(nil), r.counters...)
+	r.mu.Unlock()
 	sort.Slice(cs, func(i, j int) bool {
 		if cs[i].Name != cs[j].Name {
 			return cs[i].Name < cs[j].Name
@@ -61,7 +65,9 @@ func (r *Recorder) sortedCounters() []*Counter {
 }
 
 func (r *Recorder) sortedGauges() []*Gauge {
+	r.mu.Lock()
 	gs := append([]*Gauge(nil), r.gauges...)
+	r.mu.Unlock()
 	sort.Slice(gs, func(i, j int) bool {
 		if gs[i].Name != gs[j].Name {
 			return gs[i].Name < gs[j].Name
@@ -72,7 +78,9 @@ func (r *Recorder) sortedGauges() []*Gauge {
 }
 
 func (r *Recorder) sortedHists() []*Histogram {
+	r.mu.Lock()
 	hs := append([]*Histogram(nil), r.hists...)
+	r.mu.Unlock()
 	sort.Slice(hs, func(i, j int) bool {
 		if hs[i].Name != hs[j].Name {
 			return hs[i].Name < hs[j].Name
@@ -80,6 +88,15 @@ func (r *Recorder) sortedHists() []*Histogram {
 		return hs[i].Label < hs[j].Label
 	})
 	return hs
+}
+
+// bucketLE is the exported upper bound of histogram bucket i: a
+// DefBuckets bound, or "+Inf" for the overflow bucket.
+func bucketLE(i int) string {
+	if i < len(DefBuckets) {
+		return fmt.Sprintf("%g", DefBuckets[i])
+	}
+	return "+Inf"
 }
 
 // WriteJSON writes the native trace file: spans and events in record
@@ -95,25 +112,92 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		out.Spans = []SpanData{}
 	}
 	for _, c := range r.sortedCounters() {
-		out.Counters = append(out.Counters, counterJSON{c.Name, c.Label, c.n})
+		out.Counters = append(out.Counters, counterJSON{c.Name, c.Label, c.Value()})
 	}
 	for _, g := range r.sortedGauges() {
-		out.Gauges = append(out.Gauges, gaugeJSON{g.Name, g.Label, g.v})
+		out.Gauges = append(out.Gauges, gaugeJSON{g.Name, g.Label, g.Value()})
 	}
 	for _, h := range r.sortedHists() {
-		hj := histJSON{Name: h.Name, Label: h.Label, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-		for i, n := range h.bucket {
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = fmt.Sprintf("%g", h.bounds[i])
-			}
-			hj.Buckets = append(hj.Buckets, histBucketJSON{le, n})
+		st := h.state()
+		hj := histJSON{Name: h.Name, Label: h.Label, Count: st.count, Sum: st.sum, Min: st.min, Max: st.max}
+		for i, n := range st.bucket {
+			hj.Buckets = append(hj.Buckets, histBucketJSON{bucketLE(i), n})
 		}
 		out.Histograms = append(out.Histograms, hj)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// WriteProm renders every registered metric in the Prometheus text
+// exposition format (version 0.0.4): counters, then gauges, then
+// histograms, each sorted by (name, label), so scrapes are stable.
+// Dotted names become underscored ("http.requests" → "http_requests") and
+// a non-empty label renders as label="...". A nil recorder writes nothing.
+func (r *Recorder) WriteProm(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
+	var b strings.Builder
+	last := "" // "<family> <type>" of the last # TYPE line written
+	family := func(name, kind string) string {
+		pn := promName(name)
+		if pn+" "+kind != last {
+			last = pn + " " + kind
+			fmt.Fprintf(&b, "# TYPE %s %s\n", pn, kind)
+		}
+		return pn
+	}
+	for _, c := range r.sortedCounters() {
+		pn := family(c.Name, "counter")
+		fmt.Fprintf(&b, "%s%s %d\n", pn, promLabels(c.Label, ""), c.Value())
+	}
+	for _, g := range r.sortedGauges() {
+		pn := family(g.Name, "gauge")
+		fmt.Fprintf(&b, "%s%s %g\n", pn, promLabels(g.Label, ""), g.Value())
+	}
+	for _, h := range r.sortedHists() {
+		pn := family(h.Name, "histogram")
+		st := h.state()
+		var cum uint64
+		for i, n := range st.bucket {
+			cum += n
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", pn, promLabels(h.Label, fmt.Sprintf("le=%q", bucketLE(i))), cum)
+		}
+		fmt.Fprintf(&b, "%s_sum%s %g\n%s_count%s %d\n",
+			pn, promLabels(h.Label, ""), st.sum, pn, promLabels(h.Label, ""), st.count)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// promName sanitizes a dotted series name into the Prometheus exposition
+// charset ("http.requests" → "http_requests").
+func promName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
+			return r
+		}
+		return '_'
+	}, name)
+}
+
+// promLabels renders a series' label set: the metric label (if any) as
+// label="...", then extra (a preformatted pair such as le="0.5").
+func promLabels(label, extra string) string {
+	parts := make([]string, 0, 2)
+	if label != "" {
+		parts = append(parts, fmt.Sprintf("label=%q", label))
+	}
+	if extra != "" {
+		parts = append(parts, extra)
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }
 
 // Part names one recorder inside a merged Chrome trace; each part becomes
@@ -286,19 +370,19 @@ func (r *Recorder) Summary() string {
 	}
 
 	// Counter totals grouped by series name, labels counted.
-	if len(r.counters) > 0 {
+	if counters := r.sortedCounters(); len(counters) > 0 {
 		type agg struct {
 			total  uint64
 			labels int
 		}
 		totals := map[string]*agg{}
-		for _, c := range r.counters {
+		for _, c := range counters {
 			a := totals[c.Name]
 			if a == nil {
 				a = &agg{}
 				totals[c.Name] = a
 			}
-			a.total += c.n
+			a.total += c.Value()
 			a.labels++
 		}
 		names := make([]string, 0, len(totals))
@@ -313,14 +397,15 @@ func (r *Recorder) Summary() string {
 		}
 	}
 	for _, g := range r.sortedGauges() {
-		fmt.Fprintf(&b, "gauge %s{%s} = %g\n", g.Name, g.Label, g.v)
+		fmt.Fprintf(&b, "gauge %s{%s} = %g\n", g.Name, g.Label, g.Value())
 	}
 	for _, h := range r.sortedHists() {
-		if h.count == 0 {
+		st := h.state()
+		if st.count == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "hist %s{%s}: n=%d avg=%.3fs min=%.3fs max=%.3fs\n",
-			h.Name, h.Label, h.count, h.sum/float64(h.count), h.min, h.max)
+			h.Name, h.Label, st.count, st.sum/float64(st.count), st.min, st.max)
 	}
 	return b.String()
 }

@@ -9,7 +9,8 @@ package obs
 // Fork returns a deep copy of the recorder with no clock bound. Metric
 // handles cached by the parent's devices keep pointing at the parent's
 // metrics; forked devices re-register through the fork's recorder and get
-// the copied handles. Nil-safe: a nil recorder forks to nil.
+// the copied handles. Only values are copied, never locks. Nil-safe: a
+// nil recorder forks to nil.
 func (r *Recorder) Fork() *Recorder {
 	if r == nil {
 		return nil
@@ -20,33 +21,19 @@ func (r *Recorder) Fork() *Recorder {
 	}
 	// Attrs slices are recorded once and never mutated, so aliasing them
 	// is safe; the containers themselves must not be shared.
-	if len(r.counters) > 0 {
-		c.counters = make([]*Counter, len(r.counters))
-		c.cIdx = make(map[metricKey]*Counter, len(r.counters))
-		for i, src := range r.counters {
-			dup := *src
-			c.counters[i] = &dup
-			c.cIdx[metricKey{src.Name, src.Label}] = &dup
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, src := range r.counters {
+		c.Counter(src.Name, src.Label).Add(src.Value())
 	}
-	if len(r.gauges) > 0 {
-		c.gauges = make([]*Gauge, len(r.gauges))
-		c.gIdx = make(map[metricKey]*Gauge, len(r.gauges))
-		for i, src := range r.gauges {
-			dup := *src
-			c.gauges[i] = &dup
-			c.gIdx[metricKey{src.Name, src.Label}] = &dup
-		}
+	for _, src := range r.gauges {
+		c.Gauge(src.Name, src.Label).Set(src.Value())
 	}
-	if len(r.hists) > 0 {
-		c.hists = make([]*Histogram, len(r.hists))
-		c.hIdx = make(map[metricKey]*Histogram, len(r.hists))
-		for i, src := range r.hists {
-			dup := *src
-			dup.bucket = append([]uint64(nil), src.bucket...)
-			c.hists[i] = &dup
-			c.hIdx[metricKey{src.Name, src.Label}] = &dup
-		}
+	for _, src := range r.hists {
+		st := src.state()
+		dup := c.Histogram(src.Name, src.Label)
+		dup.bucket = st.bucket
+		dup.count, dup.sum, dup.min, dup.max = st.count, st.sum, st.min, st.max
 	}
 	return c
 }
@@ -60,9 +47,12 @@ func (r *Recorder) Adopt(src *Recorder) {
 	if r == nil || src == nil {
 		return
 	}
-	now := r.now
-	*r = *src
-	if r.now == nil {
-		r.now = now
+	if src.now != nil {
+		r.now = src.now
 	}
+	r.spans, r.events = src.spans, src.events
+	r.mu.Lock()
+	r.counters, r.gauges, r.hists = src.counters, src.gauges, src.hists
+	r.cIdx, r.gIdx, r.hIdx = src.cIdx, src.gIdx, src.hIdx
+	r.mu.Unlock()
 }

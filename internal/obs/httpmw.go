@@ -26,31 +26,37 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// Middleware instruments an HTTP handler with the live registry's
-// standard families, labeled by route:
+// Middleware instruments an HTTP handler with the standard families,
+// labeled by route:
 //
 //	http.requests  (counter)  requests completed
-//	http.errors    (counter)  responses with status >= 500
+//	http.errors    (counter)  responses with status >= 500, and panics
+//	                          before any status was written
 //	http.latency   (histogram) wall-clock seconds per request
 //	http.in_flight (gauge)    requests currently being served
 //
-// A nil *Live vends nil handles, so the wrapper degrades to plain
-// status-code capture with no locking.
-func (l *Live) Middleware(route string, next http.Handler) http.Handler {
-	requests := l.Counter("http.requests", route)
-	errors := l.Counter("http.errors", route)
-	latency := l.Histogram("http.latency", route)
-	inFlight := l.Gauge("http.in_flight", route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// The accounting is deferred, so a panicking handler is still counted;
+// the panic itself propagates to net/http unchanged. A nil *Recorder
+// vends nil handles, so the wrapper degrades to plain status-code capture.
+func (r *Recorder) Middleware(route string, next http.Handler) http.Handler {
+	requests := r.Counter("http.requests", route)
+	errors := r.Counter("http.errors", route)
+	latency := r.Histogram("http.latency", route)
+	inFlight := r.Gauge("http.in_flight", route)
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		inFlight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		inFlight.Add(-1)
-		requests.Inc()
-		if sw.status >= 500 {
-			errors.Inc()
-		}
-		latency.Observe(time.Since(start).Seconds())
+		returned := false
+		defer func() {
+			inFlight.Add(-1)
+			requests.Inc()
+			if sw.status >= 500 || (!returned && sw.status == 0) {
+				errors.Inc()
+			}
+			latency.Observe(time.Since(start).Seconds())
+		}()
+		next.ServeHTTP(sw, req)
+		returned = true
 	})
 }

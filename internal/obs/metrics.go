@@ -1,10 +1,22 @@
 package obs
 
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
+
 // Metrics are registered per (name, label): the name identifies the
 // series ("bgp.msgs_out"), the label the instance (a device name). Handles
 // are cached by callers at construction time so hot-path updates are a
-// nil check plus an integer add — and literally just the nil check when
+// nil check plus an atomic add — and literally just the nil check when
 // tracing is disabled, because a nil recorder vends nil handles.
+//
+// Metrics are safe for concurrent use: registration takes the recorder's
+// lock and handle updates are atomic (histograms take their own small
+// lock), so crystald's handler goroutines share one registry. The values
+// passed in carry their own unit — virtual seconds from the engine, wall
+// seconds from the HTTP middleware — so one handle set serves both.
 
 type metricKey struct{ name, label string }
 
@@ -13,20 +25,20 @@ type metricKey struct{ name, label string }
 type Counter struct {
 	Name  string
 	Label string
-	n     uint64
+	n     atomic.Uint64
 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.n++
+		c.n.Add(1)
 	}
 }
 
 // Add adds d.
 func (c *Counter) Add(d uint64) {
 	if c != nil {
-		c.n += d
+		c.n.Add(d)
 	}
 }
 
@@ -35,7 +47,7 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.n
+	return c.n.Load()
 }
 
 // Counter returns the counter registered under (name, label), creating it
@@ -45,6 +57,8 @@ func (r *Recorder) Counter(name, label string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	k := metricKey{name, label}
 	if c, ok := r.cIdx[k]; ok {
 		return c
@@ -58,17 +72,31 @@ func (r *Recorder) Counter(name, label string) *Counter {
 	return c
 }
 
-// Gauge is a last-write-wins float series.
+// Gauge is a last-write-wins float series, stored as float64 bits.
 type Gauge struct {
 	Name  string
 	Label string
-	v     float64
+	bits  atomic.Uint64
 }
 
 // Set records the current value.
 func (g *Gauge) Set(v float64) {
 	if g != nil {
-		g.v = v
+		g.bits.Store(math.Float64bits(v))
+	}
+}
+
+// Add adjusts the value by d (negative to decrement), so a gauge can
+// track in-flight counts.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
 	}
 }
 
@@ -77,7 +105,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.v
+	return math.Float64frombits(g.bits.Load())
 }
 
 // Gauge returns the gauge registered under (name, label), creating it on
@@ -86,6 +114,8 @@ func (r *Recorder) Gauge(name, label string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	k := metricKey{name, label}
 	if g, ok := r.gIdx[k]; ok {
 		return g
@@ -99,19 +129,20 @@ func (r *Recorder) Gauge(name, label string) *Gauge {
 	return g
 }
 
-// DefBuckets are the default histogram bounds, in seconds of virtual
-// time: 1ms to ~2min in powers of four. They cover the spread between a
-// single BGP UPDATE exchange and a full fabric convergence.
+// DefBuckets are the histogram bounds, in seconds: 1ms to ~2min in powers
+// of four. They cover the spread between a single BGP UPDATE exchange and
+// a full fabric convergence in virtual time, and between a warm fork and
+// a cold convergence in crystald's wall-clock request latency.
 var DefBuckets = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536, 131.072}
 
-// Histogram accumulates observations into fixed buckets, plus exact
-// count/sum/min/max. Bounds are set at registration and never change, so
-// two same-seed runs bucket identically.
+// Histogram accumulates observations into the DefBuckets buckets, plus
+// exact count/sum/min/max. Every histogram shares the one bucket table,
+// so two same-seed runs bucket identically.
 type Histogram struct {
 	Name   string
 	Label  string
-	bounds []float64
-	bucket []uint64 // len(bounds)+1; last is +Inf
+	mu     sync.Mutex
+	bucket []uint64 // len(DefBuckets)+1; last is +Inf
 	count  uint64
 	sum    float64
 	min    float64
@@ -120,35 +151,28 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(v, 1)
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.bucket[i]++
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
 }
 
 // ObserveN records n identical observations in one update — the bulk form
 // the traffic plane uses to account millions of modeled flows per settle
 // without a per-flow loop. Equivalent to calling Observe(v) n times.
 func (h *Histogram) ObserveN(v float64, n uint64) {
-	if h == nil || n == 0 {
-		return
+	if h != nil && n != 0 {
+		h.observe(v, n)
 	}
+}
+
+// observe is the locked update behind Observe and ObserveN, kept out of
+// line so their nil checks inline into hot callers.
+func (h *Histogram) observe(v float64, n uint64) {
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < len(DefBuckets) && v > DefBuckets[i] {
 		i++
 	}
+	h.mu.Lock()
 	h.bucket[i] += n
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -158,6 +182,7 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	}
 	h.count += n
 	h.sum += v * float64(n)
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
@@ -165,6 +190,8 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -173,7 +200,22 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.sum
+}
+
+// histState is a consistent copy of a histogram's accumulated values.
+type histState struct {
+	bucket        []uint64
+	count         uint64
+	sum, min, max float64
+}
+
+func (h *Histogram) state() histState {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return histState{append([]uint64(nil), h.bucket...), h.count, h.sum, h.min, h.max}
 }
 
 // Histogram returns the histogram registered under (name, label) with
@@ -183,6 +225,8 @@ func (r *Recorder) Histogram(name, label string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	k := metricKey{name, label}
 	if h, ok := r.hIdx[k]; ok {
 		return h
@@ -190,7 +234,7 @@ func (r *Recorder) Histogram(name, label string) *Histogram {
 	if r.hIdx == nil {
 		r.hIdx = map[metricKey]*Histogram{}
 	}
-	h := &Histogram{Name: name, Label: label, bounds: DefBuckets, bucket: make([]uint64, len(DefBuckets)+1)}
+	h := &Histogram{Name: name, Label: label, bucket: make([]uint64, len(DefBuckets)+1)}
 	r.hIdx[k] = h
 	r.hists = append(r.hists, h)
 	return h

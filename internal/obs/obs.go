@@ -14,11 +14,15 @@
 // pointer check and nothing else. Hot paths cache *Counter handles at
 // construction so the disabled cost stays at one predictable branch.
 //
-// A Recorder is single-goroutine, like the engine that feeds it: each
-// emulation (fresh or forked) owns its own recorder, and campaigns that
-// run emulations in parallel give each run a private recorder and merge
-// the results after the pool drains.
+// A Recorder's spans and events are single-goroutine, like the engine
+// that feeds them: each emulation (fresh or forked) owns its own
+// recorder, and campaigns that run emulations in parallel give each run a
+// private recorder and merge the results after the pool drains. Its
+// metrics are safe for concurrent use, so the same registry also backs
+// crystald's /metrics, fed by many HTTP handler goroutines.
 package obs
+
+import "sync"
 
 // Attr is one key/value annotation on a span or event.
 type Attr struct {
@@ -54,6 +58,7 @@ type Recorder struct {
 	spans  []SpanData
 	events []EventData
 
+	mu       sync.Mutex // guards metric registration; handles update atomically
 	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"crystalnet/internal/obs"
 	"crystalnet/internal/scenario"
 )
 
@@ -156,7 +157,7 @@ func TestPlanRequestValidation(t *testing.T) {
 }
 
 func TestPrewarmIdempotentAndClosed(t *testing.T) {
-	p := NewPool(2, 0, true, nil)
+	p := NewPool(2, 0, true, obs.New())
 	sp := tinySpec("prewarm", 3)
 	opts := scenario.Options{}
 	if !p.Prewarm(sp, opts) {

@@ -29,15 +29,15 @@ type Pool struct {
 	size      int
 	maxEvents uint64
 	rewarm    bool
-	live      *obs.Live
 
-	mu        sync.Mutex
-	entries   map[string]*poolEntry
-	clock     uint64 // logical LRU clock; bumped on every acquire
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	closed    bool
+	// Handles on the server's registry; Status reads its counts from them.
+	hits, misses, evictions *obs.Counter
+	entriesGauge            *obs.Gauge
+
+	mu      sync.Mutex
+	entries map[string]*poolEntry
+	clock   uint64 // logical LRU clock; bumped on every acquire
+	closed  bool
 
 	stop chan struct{}  // closed by Close; cancels in-flight warms
 	wg   sync.WaitGroup // tracks warm goroutines
@@ -59,9 +59,10 @@ type poolEntry struct {
 
 // NewPool returns a pool holding up to size warm baselines. maxEvents
 // caps each convergence drive (0 = scenario default); rewarm re-converges
-// invalidated entries in the background; live (nil-safe) receives
-// pool.hits / pool.misses / pool.evictions / pool.entries metrics.
-func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Live) *Pool {
+// invalidated entries in the background; rec receives the pool.hits /
+// pool.misses / pool.evictions / pool.entries metrics, which are also the
+// counts Status reports (a nil rec leaves them at zero).
+func NewPool(size int, maxEvents uint64, rewarm bool, rec *obs.Recorder) *Pool {
 	if size <= 0 {
 		size = 1
 	}
@@ -69,9 +70,14 @@ func NewPool(size int, maxEvents uint64, rewarm bool, live *obs.Live) *Pool {
 		size:      size,
 		maxEvents: maxEvents,
 		rewarm:    rewarm,
-		live:      live,
-		entries:   map[string]*poolEntry{},
-		stop:      make(chan struct{}),
+
+		hits:         rec.Counter("pool.hits", ""),
+		misses:       rec.Counter("pool.misses", ""),
+		evictions:    rec.Counter("pool.evictions", ""),
+		entriesGauge: rec.Gauge("pool.entries", ""),
+
+		entries: map[string]*poolEntry{},
+		stop:    make(chan struct{}),
 	}
 }
 
@@ -132,11 +138,9 @@ func (p *Pool) Acquire(sp *scenario.Spec, opts scenario.Options, cancel <-chan s
 	}
 	e, hit := p.entries[key]
 	if hit {
-		p.hits++
-		p.live.Counter("pool.hits", "").Inc()
+		p.hits.Inc()
 	} else {
-		p.misses++
-		p.live.Counter("pool.misses", "").Inc()
+		p.misses.Inc()
 		e = p.insertLocked(key, baseSpec(sp, opts))
 	}
 	e.refs++
@@ -170,7 +174,7 @@ func (p *Pool) insertLocked(key string, base *scenario.Spec) *poolEntry {
 	for len(p.entries) > p.size {
 		p.evictLRULocked(key)
 	}
-	p.live.Gauge("pool.entries", "").Set(float64(len(p.entries)))
+	p.entriesGauge.Set(float64(len(p.entries)))
 	p.wg.Add(1)
 	go p.warm(e)
 	return e
@@ -188,7 +192,7 @@ func (p *Pool) warm(e *poolEntry) {
 	if err != nil && p.entries[e.key] == e {
 		delete(p.entries, e.key)
 		e.evicted = true
-		p.live.Gauge("pool.entries", "").Set(float64(len(p.entries)))
+		p.entriesGauge.Set(float64(len(p.entries)))
 	}
 	maybeInvalidateLocked(e)
 	p.mu.Unlock()
@@ -230,8 +234,7 @@ func (p *Pool) evictLRULocked(keep string) {
 	}
 	delete(p.entries, victim.key)
 	victim.evicted = true
-	p.evictions++
-	p.live.Counter("pool.evictions", "").Inc()
+	p.evictions.Inc()
 	maybeInvalidateLocked(victim)
 }
 
@@ -264,7 +267,7 @@ func (p *Pool) Invalidate(sp *scenario.Spec, opts scenario.Options) int {
 			p.insertLocked(e.key, e.base.Clone())
 		}
 	}
-	p.live.Gauge("pool.entries", "").Set(float64(len(p.entries)))
+	p.entriesGauge.Set(float64(len(p.entries)))
 	return len(victims)
 }
 
@@ -295,9 +298,9 @@ func (p *Pool) Status() PoolStatus {
 	st := PoolStatus{
 		Capacity:  p.size,
 		Rewarm:    p.rewarm,
-		Hits:      p.hits,
-		Misses:    p.misses,
-		Evictions: p.evictions,
+		Hits:      p.hits.Value(),
+		Misses:    p.misses.Value(),
+		Evictions: p.evictions.Value(),
 	}
 	order := make([]*poolEntry, 0, len(p.entries))
 	for _, e := range p.entries {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"crystalnet/internal/obs"
 	"crystalnet/internal/scenario"
 )
 
@@ -32,7 +33,7 @@ func TestPoolKeyIgnoresRunOnlyFields(t *testing.T) {
 }
 
 func TestPoolLRUEviction(t *testing.T) {
-	p := NewPool(2, 0, false, nil)
+	p := NewPool(2, 0, false, obs.New())
 	defer p.Close()
 	specs := []*scenario.Spec{tinySpec("s1", 7), tinySpec("s2", 8), tinySpec("s3", 9)}
 	for _, sp := range specs[:2] {
@@ -78,7 +79,7 @@ func TestPoolLRUEviction(t *testing.T) {
 }
 
 func TestEvictedEntryInvalidatesAfterLastRelease(t *testing.T) {
-	p := NewPool(1, 0, false, nil)
+	p := NewPool(1, 0, false, obs.New())
 	defer p.Close()
 	sp1, sp2 := tinySpec("held", 7), tinySpec("pusher", 8)
 	cv, rel, _, err := p.Acquire(sp1, scenario.Options{}, nil)
@@ -107,7 +108,7 @@ func TestEvictedEntryInvalidatesAfterLastRelease(t *testing.T) {
 }
 
 func TestPoolInvalidateRewarms(t *testing.T) {
-	p := NewPool(2, 0, true, nil)
+	p := NewPool(2, 0, true, obs.New())
 	defer p.Close()
 	sp := tinySpec("rw", 7)
 	_, rel, _, err := p.Acquire(sp, scenario.Options{}, nil)
@@ -135,7 +136,7 @@ func TestPoolInvalidateRewarms(t *testing.T) {
 }
 
 func TestPoolCloseRefusesAcquire(t *testing.T) {
-	p := NewPool(1, 0, false, nil)
+	p := NewPool(1, 0, false, obs.New())
 	p.Close()
 	if _, _, _, err := p.Acquire(tinySpec("late", 7), scenario.Options{}, nil); err == nil {
 		t.Fatal("closed pool admitted an acquire")

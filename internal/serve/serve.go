@@ -54,9 +54,6 @@ type Config struct {
 	// NoRewarm disables background re-convergence of invalidated pool
 	// entries.
 	NoRewarm bool
-	// Live receives operational metrics; nil gets the server a fresh
-	// private registry (so /metrics always works).
-	Live *obs.Live
 }
 
 func (c Config) withDefaults() Config {
@@ -68,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantInFlight == 0 {
 		c.TenantInFlight = 4
-	}
-	if c.Live == nil {
-		c.Live = obs.NewLive()
 	}
 	return c
 }
@@ -87,10 +81,10 @@ type session struct {
 // Server implements crystald's HTTP API. Create with NewServer, mount via
 // Handler, stop with Drain.
 type Server struct {
-	cfg  Config
-	live *obs.Live
-	pool *Pool
-	mux  http.Handler
+	cfg     Config
+	metrics *obs.Recorder // the server's own registry, rendered at /metrics
+	pool    *Pool
+	mux     http.Handler
 
 	mu       sync.Mutex
 	idle     *sync.Cond // broadcast when inFlight drops to zero
@@ -105,10 +99,11 @@ type Server struct {
 // NewServer builds a Server and its warm pool from cfg.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	metrics := obs.New()
 	s := &Server{
 		cfg:      cfg,
-		live:     cfg.Live,
-		pool:     NewPool(cfg.PoolSize, cfg.MaxEvents, !cfg.NoRewarm, cfg.Live),
+		metrics:  metrics,
+		pool:     NewPool(cfg.PoolSize, cfg.MaxEvents, !cfg.NoRewarm, metrics),
 		sessions: map[string]*session{},
 		tenants:  map[string]int{},
 		served:   map[string]uint64{},
@@ -133,7 +128,7 @@ func NewServer(cfg Config) *Server {
 		case "/metrics":
 			h = s.handleMetrics
 		}
-		mux.Handle(route, s.live.Middleware(route, h))
+		mux.Handle(route, s.metrics.Middleware(route, h))
 	}
 	s.mux = mux
 	return s
@@ -211,7 +206,7 @@ func (s *Server) begin(kind, tenant, name string) (*session, int, error) {
 	s.sessions[sess.ID] = sess
 	s.tenants[tenant]++
 	s.inFlight++
-	s.live.Gauge("serve.sessions", "").Set(float64(s.inFlight))
+	s.metrics.Gauge("serve.sessions", "").Set(float64(s.inFlight))
 	return sess, 0, nil
 }
 
@@ -225,7 +220,7 @@ func (s *Server) end(sess *session) {
 	}
 	s.served[sess.Kind]++
 	s.inFlight--
-	s.live.Gauge("serve.sessions", "").Set(float64(s.inFlight))
+	s.metrics.Gauge("serve.sessions", "").Set(float64(s.inFlight))
 	if s.inFlight == 0 {
 		s.idle.Broadcast()
 	}
@@ -484,10 +479,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, "ok\n")
 }
 
-// handleMetrics exposes the live registry in Prometheus text format.
+// handleMetrics exposes the server's metric registry in Prometheus text
+// format.
 //
 //	GET /metrics → 200 text/plain
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.live.WriteProm(w)
+	_ = s.metrics.WriteProm(w)
 }

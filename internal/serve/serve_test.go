@@ -277,7 +277,7 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"http_requests", "pool_misses", "http_latency_bucket"} {
+	for _, want := range []string{"http_requests", "pool_misses 1\n", "pool_hits 0\n", "http_latency_bucket"} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, prom)
 		}

@@ -36,6 +36,9 @@ go test -tags crystaldebug ./internal/bgp/
 echo "== fuzz: UpdatePrefixes agrees with Decode on every accepted UPDATE (10 s)"
 go test ./internal/bgp -run '^$' -fuzz '^FuzzUpdatePrefixes$' -fuzztime 10s
 
+echo "== fuzz: DecodePacket never panics and round-trips what it accepts (10 s)"
+go test ./internal/ospf -run '^$' -fuzz '^FuzzDecodePacket$' -fuzztime 10s
+
 echo "== concurrent-fork smoke under -race"
 go test -race ./internal/core/ -run 'TestCheckpoint|TestFork|TestClearAfterFork|TestConcurrentForks'
 

@@ -10,6 +10,32 @@ import (
 	"testing"
 )
 
+func TestNilLiveIsNoOp(t *testing.T) {
+	var r *Recorder
+	c := r.Counter("x", "")
+	c.Inc()
+	c.Add(5)
+	if c.Value() != 0 {
+		t.Fatal("nil counter counted")
+	}
+	g := r.Gauge("y", "")
+	g.Set(3)
+	g.Add(1)
+	if g.Value() != 0 {
+		t.Fatal("nil gauge stored")
+	}
+	h := r.Histogram("z", "")
+	h.Observe(1)
+	h.ObserveN(1, 4)
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("nil histogram observed")
+	}
+	var prom strings.Builder
+	if err := r.WriteProm(&prom); err != nil || prom.Len() != 0 {
+		t.Fatalf("nil WriteProm = %q, %v; want nothing", prom.String(), err)
+	}
+}
+
 func TestLiveHandlesAreStable(t *testing.T) {
 	r := New()
 	if r.Counter("a", "x") != r.Counter("a", "x") {

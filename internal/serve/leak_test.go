@@ -51,6 +51,14 @@ func TestCanceledMidConvergenceTearsDown(t *testing.T) {
 	// cancelable run loop must notice, tear down and not leak the run's
 	// goroutine (scenario runs are synchronous, so the real check is the
 	// sentinel plus the wall-clock bound — teardown, not a full drive).
+	// The fabric is larger than tinySpec's so that the drive is still in
+	// flight when the cancel lands a few milliseconds in.
+	sp := tinySpec("cancel-mid", 7)
+	sp.Topology.Clos = &scenario.ClosSpec{
+		Name: "cancel-mid", Pods: 8, ToRsPerPod: 8, LeavesPerPod: 4,
+		SpineGroups: 1, SpinesPerPlane: 4, BordersPerGroup: 2,
+		PrefixesPerToR: 4,
+	}
 	base := runtime.NumGoroutine()
 	ch := make(chan struct{})
 	errc := make(chan error, 1)
@@ -58,7 +66,7 @@ func TestCanceledMidConvergenceTearsDown(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := scenario.Run(tinySpec("cancel-mid", 7), scenario.Options{Cancel: ch})
+		_, err := scenario.Run(sp, scenario.Options{Cancel: ch})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
